@@ -5,6 +5,10 @@
  * (orthonormalizeColumns), full PowerSGD compress, top-k selection,
  * ternary and one-bit quantization — at every supported dispatch
  * tier, forced via simd::setTier exactly like OPTIMUS_SIMD would.
+ * Two non-compression step kernels from the same dispatch layer
+ * ride along: the Adam update (simd::adamUpdate) and the DP
+ * all-reduce combine (simd::rankCombine over 4 ranks, counted in
+ * elements per rank).
  * Writes BENCH_compress.json (Melem/s, best of --reps) so the
  * per-tier speedups are diffable across PRs.
  *
@@ -132,6 +136,26 @@ main(int argc, char **argv)
     addRow("powersgd(r=4)", mat.size(), [&] {
         powersgd.reset();
         powersgd.compress(mat, out);
+    });
+
+    Tensor adam_m({n}), adam_v({n});
+    Tensor adam_w = Tensor::randn({n}, rng);
+    addRow("adamUpdate", n, [&] {
+        simd::adamUpdate(simd::tier(), adam_m.data(), adam_v.data(),
+                         flat.data(), adam_w.data(), n, 0.9f, 0.999f,
+                         1e-3f, 1e-8f);
+    });
+
+    constexpr int kRanks = 4;
+    std::vector<Tensor> rank_bufs;
+    std::vector<float *> rank_ptrs;
+    for (int d = 0; d < kRanks; ++d)
+        rank_bufs.push_back(Tensor::randn({n}, rng));
+    for (Tensor &t : rank_bufs)
+        rank_ptrs.push_back(t.data());
+    addRow("rankCombine[4]", n, [&] {
+        simd::rankCombine(simd::tier(), rank_ptrs.data(), kRanks, 0, n,
+                          1.0 / kRanks);
     });
 
     FILE *f = std::fopen("BENCH_compress.json", "w");

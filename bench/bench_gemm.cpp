@@ -5,15 +5,20 @@
  * and of the blocked kernel at every supported SIMD dispatch tier
  * (scalar / avx2 / avx512 — forced via simd::setTier, the same
  * switch OPTIMUS_SIMD drives), single-threaded and on the full
- * pool, at square sizes 64..1024. Writes BENCH_gemm.json so the
- * numbers are diffable across PRs; the top-level fields keep their
- * historical meaning (the auto-dispatched kernel) and a per-tier
- * breakdown rides alongside.
+ * pool, at square sizes 64..1024. Next to them, single-threaded
+ * per tier, it times the three GEMM forms a Linear layer runs (NN
+ * forward Y = X W, TN weight gradient dW = X^T dY, NT input
+ * gradient dX = dY W^T) at the trainers' shapes: rows 16 x hidden
+ * 64 and rows 32 x hidden 32, for the qkv/proj/fc1/fc2 layers.
+ * Writes BENCH_gemm.json so the numbers are diffable across PRs;
+ * the top-level fields keep their historical meaning (the
+ * auto-dispatched kernel) and a per-tier breakdown rides alongside.
  *
  * Usage: bench_gemm [--max-size 1024] [--reps 3]
  * Thread count comes from OPTIMUS_THREADS (default: hardware).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -94,6 +99,86 @@ struct Row
     }
 };
 
+/** One Linear GEMM at a trainer shape (logical m x k x n). */
+struct LinearCase
+{
+    int64_t rows, hidden;
+    const char *layer;
+    const char *form;
+    int64_t m, k, n;
+    std::vector<std::pair<simd::Tier, double>> gflops;
+};
+
+/**
+ * The NN/TN/NT GEMMs of a Linear [in -> out] layer at @p rows rows:
+ * forward X[rows,in] W[in,out]; weight gradient X^T dY with
+ * m = in, k = rows, n = out; input gradient dY W^T with m = rows,
+ * k = out, n = in.
+ */
+void
+addLinearCases(std::vector<LinearCase> &out, int64_t rows,
+               int64_t hidden)
+{
+    const struct
+    {
+        const char *name;
+        int64_t in, out;
+    } layers[] = {{"qkv", hidden, 3 * hidden},
+                  {"proj", hidden, hidden},
+                  {"fc1", hidden, 4 * hidden},
+                  {"fc2", 4 * hidden, hidden}};
+    for (const auto &l : layers) {
+        out.push_back({rows, hidden, l.name, "NN", rows, l.in, l.out,
+                       {}});
+        out.push_back({rows, hidden, l.name, "TN", l.in, rows, l.out,
+                       {}});
+        out.push_back({rows, hidden, l.name, "NT", rows, l.out, l.in,
+                       {}});
+    }
+}
+
+/**
+ * Best-of-reps single-thread GFLOP/s of one Linear GEMM form. One
+ * call at these shapes lasts microseconds, so each sample repeats
+ * the accumulate call for ~1e8 flops (a few ms).
+ */
+double
+measureLinear(const LinearCase &lc, int reps, Rng &rng)
+{
+    const bool ta = lc.form[0] == 'T';
+    const bool tb = lc.form[1] == 'T';
+    Tensor a = ta ? Tensor::randn({lc.k, lc.m}, rng)
+                  : Tensor::randn({lc.m, lc.k}, rng);
+    Tensor b = tb ? Tensor::randn({lc.n, lc.k}, rng)
+                  : Tensor::randn({lc.k, lc.n}, rng);
+    Tensor c({lc.m, lc.n});
+    auto once = [&] {
+        if (ta)
+            matmulAccTN(c, a, b);
+        else if (tb)
+            matmulAccNT(c, a, b);
+        else
+            matmulAcc(c, a, b);
+    };
+    SerialRegion serial;
+    once(); // warm-up
+    const double flops = 2.0 * lc.m * lc.k * lc.n;
+    const int64_t iters =
+        std::max<int64_t>(1, static_cast<int64_t>(1e8 / flops));
+    double best = 0.0;
+    for (int r = 0; r < reps; ++r) {
+        const double t0 = seconds();
+        for (int64_t i = 0; i < iters; ++i)
+            once();
+        const double gflops =
+            flops * static_cast<double>(iters) / (seconds() - t0) *
+            1e-9;
+        if (gflops > best)
+            best = gflops;
+    }
+    return best;
+}
+
 } // namespace
 
 int
@@ -142,6 +227,27 @@ main(int argc, char **argv)
         rows.push_back(row);
     }
 
+    std::vector<LinearCase> linear;
+    addLinearCases(linear, 16, 64);
+    addLinearCases(linear, 32, 32);
+    std::printf("\nLinear shapes (1 thread, GFLOP/s):\n");
+    for (LinearCase &lc : linear) {
+        std::printf("  rows %2lld hidden %2lld %-4s %s %3lldx%3lldx%3lld",
+                    static_cast<long long>(lc.rows),
+                    static_cast<long long>(lc.hidden), lc.layer,
+                    lc.form, static_cast<long long>(lc.m),
+                    static_cast<long long>(lc.k),
+                    static_cast<long long>(lc.n));
+        for (simd::Tier t : tiers) {
+            simd::setTier(t);
+            const double g = measureLinear(lc, reps, rng);
+            lc.gflops.emplace_back(t, g);
+            std::printf("  %s %7.2f", simd::tierName(t), g);
+        }
+        std::printf("\n");
+    }
+    simd::setTier(auto_tier);
+
     FILE *f = std::fopen("BENCH_gemm.json", "w");
     if (!f) {
         std::fprintf(stderr, "cannot write BENCH_gemm.json\n");
@@ -175,6 +281,26 @@ main(int argc, char **argv)
                          j + 1 < r.tiers.size() ? ", " : "");
         }
         std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"linear_shapes\": [\n");
+    for (size_t i = 0; i < linear.size(); ++i) {
+        const LinearCase &lc = linear[i];
+        std::fprintf(f,
+                     "    {\"rows\": %lld, \"hidden\": %lld, "
+                     "\"layer\": \"%s\", \"form\": \"%s\", "
+                     "\"m\": %lld, \"k\": %lld, \"n\": %lld, "
+                     "\"tiers_1thread\": {",
+                     static_cast<long long>(lc.rows),
+                     static_cast<long long>(lc.hidden), lc.layer,
+                     lc.form, static_cast<long long>(lc.m),
+                     static_cast<long long>(lc.k),
+                     static_cast<long long>(lc.n));
+        for (size_t j = 0; j < lc.gflops.size(); ++j)
+            std::fprintf(f, "\"%s\": %.3f%s",
+                         simd::tierName(lc.gflops[j].first),
+                         lc.gflops[j].second,
+                         j + 1 < lc.gflops.size() ? ", " : "");
+        std::fprintf(f, "}}%s\n", i + 1 < linear.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -9,6 +9,7 @@
 #include "obs/trace.hh"
 #include "runtime/runtime.hh"
 #include "simnet/cost_model.hh"
+#include "tensor/simd.hh"
 #include "util/logging.hh"
 
 namespace optimus
@@ -61,7 +62,8 @@ eventSelected(const CommEvent &e, CommPhase phase, int64_t iteration)
  * Mean/sum all-reduce over one segmented group. Chunks are cut from
  * flat coordinates (grain-fixed, segment-agnostic); each element
  * accumulates its per-rank values in rank order in double and the
- * scaled float result is written back to every rank — the exact
+ * scaled float result is written back to every rank
+ * (simd::rankCombine, bitwise equal at every tier) — the exact
  * arithmetic of the legacy parallel/ combine() and bucket kernels,
  * so results are bitwise identical to them at any OPTIMUS_THREADS.
  */
@@ -75,6 +77,7 @@ combineGroup(const CommGroup &group, ReduceOp op)
         op == ReduceOp::Mean ? 1.0 / static_cast<double>(ranks) : 1.0;
     const auto &offsets = group.segOffsets;
     const size_t segments = offsets.size();
+    const simd::Tier tier = simd::tier();
 
     parallelFor(0, group.totalElems, kCombineGrain,
                 [&](int64_t lo, int64_t hi) {
@@ -91,18 +94,10 @@ combineGroup(const CommGroup &group, ReduceOp op)
                                              : group.totalElems;
                         const int64_t stop =
                             seg_end < hi ? seg_end : hi;
-                        const int64_t base = pos - offsets[e];
-                        const auto &ptrs = group.segPtrs[e];
-                        for (int64_t i = pos; i < stop; ++i) {
-                            const int64_t k = base + (i - pos);
-                            double acc = 0.0;
-                            for (int d = 0; d < ranks; ++d)
-                                acc += ptrs[d][k];
-                            const float v =
-                                static_cast<float>(acc * scale);
-                            for (int d = 0; d < ranks; ++d)
-                                ptrs[d][k] = v;
-                        }
+                        simd::rankCombine(tier,
+                                          group.segPtrs[e].data(),
+                                          ranks, pos - offsets[e],
+                                          stop - pos, scale);
                         pos = stop;
                         ++e;
                     }

@@ -14,6 +14,33 @@ namespace
 constexpr float kSqrt2OverPi = 0.7978845608028654f;
 constexpr float kGeluCoeff = 0.044715f;
 
+/**
+ * The GELU expressions, split at the one transcendental so the
+ * training forward can evaluate tanh once and derive both y and
+ * dy/dx from it. Gelu::value/derivative are these same helpers, so
+ * the stash-fed backward is bitwise dy * Gelu::derivative(x).
+ */
+inline float
+geluTanh(float x)
+{
+    return std::tanh(kSqrt2OverPi * (x + kGeluCoeff * x * x * x));
+}
+
+inline float
+geluValue(float x, float t)
+{
+    return 0.5f * x * (1.0f + t);
+}
+
+inline float
+geluDerivative(float x, float t)
+{
+    const float sech2 = 1.0f - t * t;
+    const float dinner =
+        kSqrt2OverPi * (1.0f + 3.0f * kGeluCoeff * x * x);
+    return 0.5f * (1.0f + t) + 0.5f * x * sech2 * dinner;
+}
+
 /** parallelFor grain for element-wise maps (disjoint writes). */
 constexpr int64_t kElemGrain = 4096;
 
@@ -22,18 +49,13 @@ constexpr int64_t kElemGrain = 4096;
 float
 Gelu::value(float x)
 {
-    const float inner = kSqrt2OverPi * (x + kGeluCoeff * x * x * x);
-    return 0.5f * x * (1.0f + std::tanh(inner));
+    return geluValue(x, geluTanh(x));
 }
 
 float
 Gelu::derivative(float x)
 {
-    const float inner = kSqrt2OverPi * (x + kGeluCoeff * x * x * x);
-    const float t = std::tanh(inner);
-    const float sech2 = 1.0f - t * t;
-    const float dinner = kSqrt2OverPi * (1.0f + 3.0f * kGeluCoeff * x * x);
-    return 0.5f * (1.0f + t) + 0.5f * x * sech2 * dinner;
+    return geluDerivative(x, geluTanh(x));
 }
 
 // optlint:hot — serving decode path (zero-allocation contract).
@@ -44,12 +66,25 @@ Gelu::forward(const Tensor &x)
     const float *xd = x.data();
     float *yd = y.data();
     const int64_t n = x.size();
+    if (mode() != Mode::Train) {
+        parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
+            for (int64_t i = lo; i < hi; ++i)
+                yd[i] = value(xd[i]);
+        });
+        return y;
+    }
+    // Train: one tanh per element yields both y and dGELU/dx, and
+    // the stash holds the derivative, so backward is one multiply.
+    Tensor &grad = stash_.pushSlot();
+    grad = x;
+    float *gd = grad.data();
     parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i)
-            yd[i] = value(xd[i]);
+        for (int64_t i = lo; i < hi; ++i) {
+            const float t = geluTanh(xd[i]);
+            yd[i] = geluValue(xd[i], t);
+            gd[i] = geluDerivative(xd[i], t);
+        }
     });
-    if (mode() == Mode::Train)
-        stash_.pushSlot() = x;
     return y;
 }
 
@@ -58,17 +93,17 @@ Gelu::backward(const Tensor &dy)
 {
     OPTIMUS_ASSERT(mode() == Mode::Train);
     OPTIMUS_ASSERT(!stash_.empty());
-    const Tensor &x = stash_.front();
-    OPTIMUS_ASSERT(x.size() == dy.size());
+    const Tensor &grad = stash_.front();
+    OPTIMUS_ASSERT(grad.size() == dy.size());
 
     Tensor dx(dy.shape());
-    const float *xd = x.data();
+    const float *gd = grad.data();
     const float *dyd = dy.data();
     float *dxd = dx.data();
     const int64_t n = dy.size();
     parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i)
-            dxd[i] = dyd[i] * derivative(xd[i]);
+            dxd[i] = dyd[i] * gd[i];
     });
     stash_.popFront();
     return dx;

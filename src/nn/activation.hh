@@ -31,6 +31,7 @@ class Gelu : public Layer
     static float derivative(float x);
 
   private:
+    /** Train-mode stash: dGELU/dx at the forward input (not x). */
     ReuseRing<Tensor> stash_;
 };
 

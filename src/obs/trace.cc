@@ -35,8 +35,12 @@ struct TracerState
 TracerState &
 state()
 {
-    static TracerState s;
-    return s;
+    // Never destroyed: a pool worker can still be registering its
+    // buffer (ThreadPool::workerLoop -> setThreadTrack) while the
+    // main thread runs static destructors at exit, and a destroyed
+    // registry made that a use-after-free.
+    static TracerState *s = new TracerState;
+    return *s;
 }
 
 thread_local ThreadBuffer *t_buffer = nullptr;

@@ -130,6 +130,42 @@ processRowGroup(const GemmBlockCtx &ctx, int64_t i, float *apack)
     }
 }
 
+/** Edge of the square tiles packTransposed() walks. */
+constexpr int64_t TB = 16;
+
+/**
+ * Pack a transposed B block: bp[p * ld + j] = src[j * k + p] for
+ * p < kc, j < nc. Walks TB x TB tiles so a tile's TB source rows and
+ * TB destination rows stay L1-resident: a column-at-a-time scatter
+ * stores one float per ld-strided line, and at ld = 256 (1 KiB)
+ * those lines all map onto four L1 sets. Pure data movement, so
+ * NT results are bitwise NN on a materialized transpose.
+ */
+inline void
+packTransposed(float *bp, int64_t ld, const float *src, int64_t k,
+               int64_t kc, int64_t nc)
+{
+    for (int64_t j0 = 0; j0 < nc; j0 += TB) {
+        const int64_t jn = std::min(TB, nc - j0);
+        for (int64_t p0 = 0; p0 < kc; p0 += TB) {
+            const int64_t pn = std::min(TB, kc - p0);
+            const float *s = src + j0 * k + p0;
+            float *d = bp + p0 * ld + j0;
+            if (jn == TB && pn == TB) {
+                // Fixed trip counts let the compiler unroll the
+                // full tile.
+                for (int64_t p = 0; p < TB; ++p)
+                    for (int64_t j = 0; j < TB; ++j)
+                        d[p * ld + j] = s[j * k + p];
+            } else {
+                for (int64_t p = 0; p < pn; ++p)
+                    for (int64_t j = 0; j < jn; ++j)
+                        d[p * ld + j] = s[j * k + p];
+            }
+        }
+    }
+}
+
 /**
  * Blocked GEMM core: C[m x n] (+)= op(A) * op(B) with op in
  * {identity, transpose}, never materializing a transposed copy.
@@ -206,11 +242,7 @@ gemmBlocked(float *c, const float *a, const float *b, int64_t m,
                                 b + (pc + p) * n + jc,
                                 sizeof(float) * nc);
             } else {
-                for (int64_t j = 0; j < nc; ++j) {
-                    const float *src = b + (jc + j) * k + pc;
-                    for (int64_t p = 0; p < kc; ++p)
-                        bp[p * nc_pad + j] = src[p];
-                }
+                packTransposed(bp, nc_pad, b + jc * k + pc, k, kc, nc);
             }
 
             GemmBlockCtx ctx{c,  a,  m,  k,     n,  trans_a,

@@ -12,8 +12,9 @@
  * Per-tier vector primitives. Layout of this file:
  *
  *   1. tier detection / OPTIMUS_SIMD resolution / setTier
- *   2. Scalar kernels — verbatim the loops the compression code
- *      used before dispatch existed (bit-exact baseline)
+ *   2. Scalar kernels — verbatim the loops the compression code,
+ *      the Adam optimizer and the all-reduce combine used before
+ *      dispatch existed (bit-exact baseline)
  *   3. AVX2 kernels (8-wide, target attribute, no -mavx2 needed)
  *   4. AVX-512 kernels (16-wide, avx512f subset only)
  *   5. public dispatch wrappers
@@ -257,6 +258,38 @@ keepAboveScalar(float *dst, const float *src, const float *mag,
     return kept;
 }
 
+void
+adamScalar(float *m, float *v, const float *g, float *w, int64_t n,
+           float beta1, float beta2, float alpha, float eps)
+{
+    for (int64_t j = 0; j < n; ++j)
+    {
+        m[j] = beta1 * m[j] + (1.0f - beta1) * g[j];
+        v[j] = beta2 * v[j] + (1.0f - beta2) * g[j] * g[j];
+        w[j] -= alpha * m[j] / (std::sqrt(v[j]) + eps);
+    }
+}
+
+/** One element of rankCombine (also every vector tier's tail). */
+inline void
+rankCombineAt(float *const *ptrs, int ranks, int64_t k, double scale)
+{
+    double acc = 0.0;
+    for (int d = 0; d < ranks; ++d)
+        acc += ptrs[d][k];
+    const float val = static_cast<float>(acc * scale);
+    for (int d = 0; d < ranks; ++d)
+        ptrs[d][k] = val;
+}
+
+void
+rankCombineScalar(float *const *ptrs, int ranks, int64_t offset,
+                  int64_t n, double scale)
+{
+    for (int64_t k = offset; k < offset + n; ++k)
+        rankCombineAt(ptrs, ranks, k, scale);
+}
+
 #if OPTIMUS_SIMD_X86
 
 // ----------------------------------------------------------------
@@ -459,6 +492,70 @@ keepAboveAvx2(float *dst, const float *src, const float *mag,
     return kept;
 }
 
+OPTIMUS_TARGET_AVX2 void
+adamAvx2(float *m, float *v, const float *g, float *w, int64_t n,
+         float beta1, float beta2, float alpha, float eps)
+{
+    const __m256 b1 = _mm256_set1_ps(beta1);
+    const __m256 c1 = _mm256_set1_ps(1.0f - beta1);
+    const __m256 b2 = _mm256_set1_ps(beta2);
+    const __m256 c2 = _mm256_set1_ps(1.0f - beta2);
+    const __m256 al = _mm256_set1_ps(alpha);
+    const __m256 ep = _mm256_set1_ps(eps);
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8)
+    {
+        const __m256 gj = _mm256_loadu_ps(g + j);
+        const __m256 mj =
+            _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + j)),
+                          _mm256_mul_ps(c1, gj));
+        const __m256 vj = _mm256_add_ps(
+            _mm256_mul_ps(b2, _mm256_loadu_ps(v + j)),
+            _mm256_mul_ps(_mm256_mul_ps(c2, gj), gj));
+        const __m256 step =
+            _mm256_div_ps(_mm256_mul_ps(al, mj),
+                          _mm256_add_ps(_mm256_sqrt_ps(vj), ep));
+        _mm256_storeu_ps(m + j, mj);
+        _mm256_storeu_ps(v + j, vj);
+        _mm256_storeu_ps(w + j,
+                         _mm256_sub_ps(_mm256_loadu_ps(w + j), step));
+    }
+    adamScalar(m + j, v + j, g + j, w + j, n - j, beta1, beta2, alpha,
+               eps);
+}
+
+/** Rank-order double sum of 4 floats per rank at @p k. */
+OPTIMUS_TARGET_AVX2 inline __m256d
+rankSum4(float *const *ptrs, int ranks, int64_t k)
+{
+    __m256d acc = _mm256_setzero_pd();
+    for (int d = 0; d < ranks; ++d)
+        acc = _mm256_add_pd(acc,
+                            _mm256_cvtps_pd(_mm_loadu_ps(ptrs[d] + k)));
+    return acc;
+}
+
+OPTIMUS_TARGET_AVX2 void
+rankCombineAvx2(float *const *ptrs, int ranks, int64_t offset,
+                int64_t n, double scale)
+{
+    const __m256d sv = _mm256_set1_pd(scale);
+    const int64_t end = offset + n;
+    int64_t k = offset;
+    for (; k + 8 <= end; k += 8)
+    {
+        const __m128 lo = _mm256_cvtpd_ps(
+            _mm256_mul_pd(rankSum4(ptrs, ranks, k), sv));
+        const __m128 hi = _mm256_cvtpd_ps(
+            _mm256_mul_pd(rankSum4(ptrs, ranks, k + 4), sv));
+        const __m256 val = _mm256_set_m128(hi, lo);
+        for (int d = 0; d < ranks; ++d)
+            _mm256_storeu_ps(ptrs[d] + k, val);
+    }
+    for (; k < end; ++k)
+        rankCombineAt(ptrs, ranks, k, scale);
+}
+
 // ----------------------------------------------------------------
 // AVX-512 kernels (16 floats / 8 doubles per register)
 // ----------------------------------------------------------------
@@ -647,6 +744,72 @@ keepAboveAvx512(float *dst, const float *src, const float *mag,
         }
     }
     return kept;
+}
+
+OPTIMUS_TARGET_AVX512 void
+adamAvx512(float *m, float *v, const float *g, float *w, int64_t n,
+           float beta1, float beta2, float alpha, float eps)
+{
+    const __m512 b1 = _mm512_set1_ps(beta1);
+    const __m512 c1 = _mm512_set1_ps(1.0f - beta1);
+    const __m512 b2 = _mm512_set1_ps(beta2);
+    const __m512 c2 = _mm512_set1_ps(1.0f - beta2);
+    const __m512 al = _mm512_set1_ps(alpha);
+    const __m512 ep = _mm512_set1_ps(eps);
+    int64_t j = 0;
+    for (; j + 16 <= n; j += 16)
+    {
+        const __m512 gj = _mm512_loadu_ps(g + j);
+        const __m512 mj =
+            _mm512_add_ps(_mm512_mul_ps(b1, _mm512_loadu_ps(m + j)),
+                          _mm512_mul_ps(c1, gj));
+        const __m512 vj = _mm512_add_ps(
+            _mm512_mul_ps(b2, _mm512_loadu_ps(v + j)),
+            _mm512_mul_ps(_mm512_mul_ps(c2, gj), gj));
+        const __m512 step =
+            _mm512_div_ps(_mm512_mul_ps(al, mj),
+                          _mm512_add_ps(_mm512_sqrt_ps(vj), ep));
+        _mm512_storeu_ps(m + j, mj);
+        _mm512_storeu_ps(v + j, vj);
+        _mm512_storeu_ps(w + j,
+                         _mm512_sub_ps(_mm512_loadu_ps(w + j), step));
+    }
+    adamScalar(m + j, v + j, g + j, w + j, n - j, beta1, beta2, alpha,
+               eps);
+}
+
+/** Rank-order double sum of 8 floats per rank at @p k. */
+OPTIMUS_TARGET_AVX512 inline __m512d
+rankSum8(float *const *ptrs, int ranks, int64_t k)
+{
+    __m512d acc = _mm512_setzero_pd();
+    for (int d = 0; d < ranks; ++d)
+        acc = _mm512_add_pd(
+            acc, _mm512_cvtps_pd(_mm256_loadu_ps(ptrs[d] + k)));
+    return acc;
+}
+
+OPTIMUS_TARGET_AVX512 void
+rankCombineAvx512(float *const *ptrs, int ranks, int64_t offset,
+                  int64_t n, double scale)
+{
+    const __m512d sv = _mm512_set1_pd(scale);
+    const int64_t end = offset + n;
+    int64_t k = offset;
+    for (; k + 16 <= end; k += 16)
+    {
+        const __m256 lo = _mm512_cvtpd_ps(
+            _mm512_mul_pd(rankSum8(ptrs, ranks, k), sv));
+        const __m256 hi = _mm512_cvtpd_ps(
+            _mm512_mul_pd(rankSum8(ptrs, ranks, k + 8), sv));
+        for (int d = 0; d < ranks; ++d)
+        {
+            _mm256_storeu_ps(ptrs[d] + k, lo);
+            _mm256_storeu_ps(ptrs[d] + k + 8, hi);
+        }
+    }
+    for (; k < end; ++k)
+        rankCombineAt(ptrs, ranks, k, scale);
 }
 
 #endif // OPTIMUS_SIMD_X86
@@ -840,6 +1003,34 @@ keepAbove(Tier t, float *dst, const float *src, const float *mag,
 #endif
     (void)t;
     return keepAboveScalar(dst, src, mag, thresh, n);
+}
+
+void
+adamUpdate(Tier t, float *m, float *v, const float *g, float *w,
+           int64_t n, float beta1, float beta2, float alpha, float eps)
+{
+#if OPTIMUS_SIMD_X86
+    if (t == Tier::Avx512)
+        return adamAvx512(m, v, g, w, n, beta1, beta2, alpha, eps);
+    if (t == Tier::Avx2)
+        return adamAvx2(m, v, g, w, n, beta1, beta2, alpha, eps);
+#endif
+    (void)t;
+    adamScalar(m, v, g, w, n, beta1, beta2, alpha, eps);
+}
+
+void
+rankCombine(Tier t, float *const *ptrs, int ranks, int64_t offset,
+            int64_t n, double scale)
+{
+#if OPTIMUS_SIMD_X86
+    if (t == Tier::Avx512)
+        return rankCombineAvx512(ptrs, ranks, offset, n, scale);
+    if (t == Tier::Avx2)
+        return rankCombineAvx2(ptrs, ranks, offset, n, scale);
+#endif
+    (void)t;
+    rankCombineScalar(ptrs, ranks, offset, n, scale);
 }
 
 double

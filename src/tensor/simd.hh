@@ -134,6 +134,34 @@ void selectBySign(Tier t, float *dst, const float *src, float pos,
 int64_t keepAbove(Tier t, float *dst, const float *src,
                   const float *mag, float thresh, int64_t n);
 
+/**
+ * One Adam step over a contiguous span, in the optimizer's exact
+ * operation order:
+ *
+ *   m = beta1 * m + (1 - beta1) * g
+ *   v = beta2 * v + ((1 - beta2) * g) * g
+ *   w -= (alpha * m) / (sqrt(v) + eps)
+ *
+ * Separate multiplies and adds and IEEE (correctly rounded) sqrt
+ * and division in every lane, so every tier matches the scalar
+ * loop bit-for-bit. @p alpha carries the bias correction.
+ */
+void adamUpdate(Tier t, float *m, float *v, const float *g, float *w,
+                int64_t n, float beta1, float beta2, float alpha,
+                float eps);
+
+/**
+ * All-reduce combine over @p ranks equal-length spans: for each
+ * element k in [offset, offset + n), accumulate ptrs[0][k] ..
+ * ptrs[ranks-1][k] in rank order into a double that starts at 0,
+ * multiply by @p scale, round to float once, and store that value
+ * to every rank's k. Vector tiers run the same per-element chain in
+ * each lane (no cross-element reduction), so every tier matches the
+ * scalar loop bit-for-bit. @pre ranks >= 1
+ */
+void rankCombine(Tier t, float *const *ptrs, int ranks, int64_t offset,
+                 int64_t n, double scale);
+
 // ---------------------------------------------------------------
 // Strided variants (gather-free column walks over row-major
 // matrices; element i of a span lives at p[i * stride]). Contract:

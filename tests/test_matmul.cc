@@ -290,6 +290,54 @@ TEST(MatmulTiers, BitwiseSelfConsistentPerTierAcrossThreading)
     simd::setTier(initial);
 }
 
+TEST(MatmulTiers, TransBPackingBitwiseEqualsMaterializedTranspose)
+{
+    // The trans_b path differs from NN only in how B is packed, so
+    // per tier A * B^T must be bitwise A * (materialized B^T): the
+    // Linear backward shapes dX = dY * W^T (m = rows, k = out,
+    // n = in) of the hidden-64 and hidden-32 trainers at 16 and 32
+    // rows, then ragged and multi-block k/n.
+    std::vector<Shape> shapes;
+    for (int64_t rows : {16, 32}) {
+        for (int64_t h : {64, 32}) {
+            shapes.push_back({rows, 3 * h, h}); // qkv
+            shapes.push_back({rows, h, h});     // proj
+            shapes.push_back({rows, 4 * h, h}); // fc1
+            shapes.push_back({rows, h, 4 * h}); // fc2
+        }
+    }
+    for (int64_t k : {1, 17, 63, 65, 131, 300})
+        for (int64_t n : {1, 13, 63, 65, 97, 515})
+            shapes.push_back({7, k, n});
+
+    const simd::Tier initial = simd::tier();
+    Rng rng(34);
+    for (const Shape &s : shapes) {
+        Tensor a = Tensor::randn({s.m, s.k}, rng);
+        Tensor bt = Tensor::randn({s.n, s.k}, rng);
+        Tensor b = bt.transposed();
+        Tensor init = Tensor::randn({s.m, s.n}, rng);
+        for (simd::Tier t : supportedTiers()) {
+            simd::setTier(t);
+            const Tensor want = matmul(a, b);
+            const Tensor got = matmulNT(a, bt);
+            EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                     sizeof(float) * want.size()))
+                << simd::tierName(t) << " " << s.m << "x" << s.k
+                << "x" << s.n;
+            Tensor want_acc = init;
+            matmulAcc(want_acc, a, b);
+            Tensor got_acc = init;
+            matmulAccNT(got_acc, a, bt);
+            EXPECT_EQ(0, std::memcmp(want_acc.data(), got_acc.data(),
+                                     sizeof(float) * want_acc.size()))
+                << simd::tierName(t) << " acc " << s.m << "x" << s.k
+                << "x" << s.n;
+        }
+    }
+    simd::setTier(initial);
+}
+
 TEST(Matmul, TransposedVariantsShareOneKernel)
 {
     // TN/NT paths must not silently depend on transposed() copies:

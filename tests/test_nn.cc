@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "nn/activation.hh"
 #include "nn/attention.hh"
 #include "nn/block.hh"
@@ -52,6 +55,42 @@ TEST(GradCheck, Gelu)
     Tensor x = Tensor::randn({4, 6}, rng, 0.0f, 2.0f);
     Tensor w = Tensor::randn({4, 6}, rng);
     EXPECT_LT(test::inputGradError(layer, x, w, rng), kGradTol);
+}
+
+TEST(Gelu, TrainStashIsBitwiseValueAndDerivative)
+{
+    // Train forward evaluates tanh once per element and stashes
+    // dGELU/dx in place of x; y and the backward must still be
+    // bitwise Gelu::value(x) and dy * Gelu::derivative(x). The random
+    // tail pushes the tensor past one parallelFor grain.
+    std::vector<float> xs = {0.0f,  -0.0f, 1e-30f, -1e-30f, 0.1f,
+                             -0.1f, 3.0f,  -3.0f,  20.0f,   -20.0f};
+    Rng rng(21);
+    while (xs.size() < 5000)
+        xs.push_back(static_cast<float>(rng.normal() * 4.0));
+    const int64_t n = static_cast<int64_t>(xs.size());
+    Tensor x = Tensor::fromValues({n}, xs);
+    Tensor dy = Tensor::randn({n}, rng);
+
+    Gelu layer;
+    Tensor y = layer.forward(x);
+    EXPECT_EQ(layer.stashDepth(), 1u);
+    Tensor dx = layer.backward(dy);
+    EXPECT_EQ(layer.stashDepth(), 0u);
+    for (int64_t i = 0; i < n; ++i) {
+        const float want_y = Gelu::value(x[i]);
+        const float want_dx = dy[i] * Gelu::derivative(x[i]);
+        EXPECT_EQ(0, std::memcmp(&y[i], &want_y, sizeof(float)))
+            << "y at x=" << x[i];
+        EXPECT_EQ(0, std::memcmp(&dx[i], &want_dx, sizeof(float)))
+            << "dx at x=" << x[i];
+    }
+
+    layer.setMode(Mode::Infer);
+    Tensor y_infer = layer.forward(x);
+    EXPECT_EQ(layer.stashDepth(), 0u);
+    EXPECT_EQ(0, std::memcmp(y_infer.data(), y.data(),
+                             sizeof(float) * n));
 }
 
 TEST(GradCheck, Relu)

@@ -23,6 +23,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -48,6 +49,23 @@ namespace optimus
 {
 namespace
 {
+
+/**
+ * Scratch file unique to this process, removed when the test ends:
+ * ctest runs the test_obs legs concurrently, and a shared fixed
+ * name let one leg read back another leg's trace.
+ */
+struct TempFile
+{
+    explicit TempFile(const char *name)
+        : path(testing::TempDir() + std::to_string(::getpid()) + "_" +
+               name)
+    {
+    }
+    ~TempFile() { std::remove(path.c_str()); }
+
+    const std::string path;
+};
 
 /**
  * Tracing is one-trace-per-process; each test that records starts
@@ -181,8 +199,8 @@ TEST(Tracer, WriteTraceEmitsChromeJson)
     obs::emitCounter("test.export.counter", 5);
     obs::stopTracing();
 
-    const std::string path =
-        testing::TempDir() + "optimus_obs_export.json";
+    const TempFile tmp("optimus_obs_export.json");
+    const std::string &path = tmp.path;
     ASSERT_TRUE(obs::writeTrace(path));
 
     std::ifstream in(path);
@@ -279,8 +297,8 @@ TEST(TracedTrainer, SpanTracingIsBitwiseNeutral)
     // be bitwise identical to the untraced run at every
     // OPTIMUS_THREADS level ctest runs us at.
     resetTracing();
-    const std::string path =
-        testing::TempDir() + "optimus_obs_neutrality.json";
+    const TempFile tmp("optimus_obs_neutrality.json");
+    const std::string &path = tmp.path;
     {
         Trainer3d traced(tracedConfig(path));
         Trainer3d plain(tracedConfig(""));
@@ -306,8 +324,8 @@ TEST(TracedTrainer, SpanTracingIsBitwiseNeutral)
 TEST(TraceSummary, ReconcilesWithStepPhaseTimes)
 {
     resetTracing();
-    const std::string path =
-        testing::TempDir() + "optimus_obs_reconcile.json";
+    const TempFile tmp("optimus_obs_reconcile.json");
+    const std::string &path = tmp.path;
     StepPhaseTimes sum;
     {
         Trainer3d trainer(tracedConfig(path));
@@ -679,8 +697,8 @@ TEST(Promexport, RendersExpositionFormatAndServesHttp)
               std::string::npos);
 
     // Dump: atomic write, parseable back.
-    const std::string path =
-        testing::TempDir() + "optimus_obs_metrics.prom";
+    const TempFile tmp("optimus_obs_metrics.prom");
+    const std::string &path = tmp.path;
     ASSERT_TRUE(obs::writeMetricsProm(path));
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
@@ -756,8 +774,8 @@ TEST(TraceSummaryServe, SummarizesWavesAndReconcilesBoundary)
     engine.drain();
     obs::stopTracing();
 
-    const std::string path =
-        testing::TempDir() + "optimus_obs_serve_trace.json";
+    const TempFile tmp("optimus_obs_serve_trace.json");
+    const std::string &path = tmp.path;
     ASSERT_TRUE(obs::writeTrace(path));
     const obs::TraceSummary summary = obs::summarizeTraceFile(path);
     ASSERT_TRUE(summary.valid);

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <vector>
 
+#include "comm/transport.hh"
 #include "data/corpus.hh"
 #include "data/dataset.hh"
 #include "parallel/trainer3d.hh"
@@ -254,6 +255,208 @@ TEST(SimdDispatch, StridedKernelsBitwiseMatchGatheredContiguous)
             }
         }
     }
+}
+
+/** The pre-dispatch AdamOptimizer::step inner loop, verbatim. */
+void
+adamReference(float *m, float *v, const float *g, float *w,
+              int64_t n, float beta1, float beta2, float alpha,
+              float eps)
+{
+    for (int64_t j = 0; j < n; ++j) {
+        m[j] = beta1 * m[j] + (1.0f - beta1) * g[j];
+        v[j] = beta2 * v[j] + (1.0f - beta2) * g[j] * g[j];
+        w[j] -= alpha * m[j] / (std::sqrt(v[j]) + eps);
+    }
+}
+
+/** The pre-dispatch combineGroup element loop, verbatim. */
+void
+combineReference(const std::vector<float *> &ptrs, int64_t offset,
+                 int64_t n, double scale)
+{
+    for (int64_t k = offset; k < offset + n; ++k) {
+        double acc = 0.0;
+        for (float *p : ptrs)
+            acc += p[k];
+        const float v = static_cast<float>(acc * scale);
+        for (float *p : ptrs)
+            p[k] = v;
+    }
+}
+
+bool
+bitwiseEqual(const std::vector<float> &a, const std::vector<float> &b)
+{
+    // memcmp must not see the null data() of an empty vector.
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(),
+                                     sizeof(float) * a.size()) == 0);
+}
+
+std::vector<float>
+normals(Rng &rng, int64_t n)
+{
+    std::vector<float> out(static_cast<size_t>(n));
+    for (float &x : out)
+        x = static_cast<float>(rng.normal());
+    return out;
+}
+
+TEST(SimdDispatch, AdamUpdateBitwiseMatchesScalarLoopEveryTier)
+{
+    // Every tier runs the optimizer's exact op order with IEEE
+    // sqrt/div per lane, so it must equal the scalar loop bit for
+    // bit — over several steps, so the bias-corrected alpha varies.
+    const float beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f;
+    const float lr = 3e-3f;
+    for (int64_t n : {0, 1, 7, 15, 16, 17, 63, 1000}) {
+        Rng rng(100 + n);
+        const std::vector<float> w0 = normals(rng, n);
+        std::vector<std::vector<float>> grads;
+        for (int step = 0; step < 4; ++step) {
+            grads.push_back(normals(rng, n));
+            if (n > 0)
+                grads.back()[0] = 0.0f; // zero gradient, v may stay 0
+        }
+        std::vector<float> rm(n, 0.0f), rv(n, 0.0f), rw = w0;
+        std::vector<std::vector<float>> want;
+        for (int step = 0; step < 4; ++step) {
+            const double t = step + 1;
+            const float alpha = static_cast<float>(
+                lr * std::sqrt(1.0 - std::pow(beta2, t)) /
+                (1.0 - std::pow(beta1, t)));
+            adamReference(rm.data(), rv.data(), grads[step].data(),
+                          rw.data(), n, beta1, beta2, alpha, eps);
+            want.push_back(rm);
+            want.push_back(rv);
+            want.push_back(rw);
+        }
+        for (simd::Tier tier : supportedTiers()) {
+            std::vector<float> m(n, 0.0f), v(n, 0.0f), w = w0;
+            for (int step = 0; step < 4; ++step) {
+                const double t = step + 1;
+                const float alpha = static_cast<float>(
+                    lr * std::sqrt(1.0 - std::pow(beta2, t)) /
+                    (1.0 - std::pow(beta1, t)));
+                simd::adamUpdate(tier, m.data(), v.data(),
+                                 grads[step].data(), w.data(), n,
+                                 beta1, beta2, alpha, eps);
+                EXPECT_TRUE(bitwiseEqual(m, want[3 * step]))
+                    << simd::tierName(tier) << " n=" << n;
+                EXPECT_TRUE(bitwiseEqual(v, want[3 * step + 1]))
+                    << simd::tierName(tier) << " n=" << n;
+                EXPECT_TRUE(bitwiseEqual(w, want[3 * step + 2]))
+                    << simd::tierName(tier) << " n=" << n;
+            }
+        }
+    }
+}
+
+TEST(SimdDispatch, RankCombineBitwiseMatchesScalarLoopEveryTier)
+{
+    // Spans that start and end mid-vector, spans shorter than one
+    // vector, and one that covers several full vectors.
+    const int64_t kLen = 70;
+    const std::pair<int64_t, int64_t> kSpans[] = {
+        {0, 70}, {3, 5}, {5, 17}, {1, 33}, {16, 16},
+        {7, 1},  {9, 0}, {31, 39}, {2, 63},
+    };
+    for (int ranks : {1, 2, 3, 4, 8}) {
+        Rng rng(200 + ranks);
+        std::vector<std::vector<float>> init;
+        for (int d = 0; d < ranks; ++d) {
+            init.push_back(normals(rng, kLen));
+            init.back()[4] = -0.0f; // all-ranks -0 sums to +0
+        }
+        if (ranks >= 3) {
+            // Only rank order turns these into 1 (any other order
+            // absorbs the 1 into a 1e30 partial sum).
+            init[0][6] = 1e30f;
+            init[1][6] = -1e30f;
+            init[2][6] = 1.0f;
+        }
+        for (double scale : {1.0, 1.0 / ranks}) {
+            for (const auto &[offset, n] : kSpans) {
+                std::vector<std::vector<float>> want = init;
+                std::vector<float *> wp;
+                for (auto &r : want)
+                    wp.push_back(r.data());
+                combineReference(wp, offset, n, scale);
+                for (simd::Tier tier : supportedTiers()) {
+                    std::vector<std::vector<float>> got = init;
+                    std::vector<float *> gp;
+                    for (auto &r : got)
+                        gp.push_back(r.data());
+                    simd::rankCombine(tier, gp.data(), ranks, offset,
+                                      n, scale);
+                    for (int d = 0; d < ranks; ++d) {
+                        EXPECT_TRUE(bitwiseEqual(got[d], want[d]))
+                            << simd::tierName(tier)
+                            << " ranks=" << ranks << " rank=" << d
+                            << " span=" << offset << "+" << n;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdDispatch, AllReduceSegmentsBitwiseMatchScalarLoopEveryTier)
+{
+    // Through the transport: segment boundaries fall mid-vector and
+    // mid-chunk (the combine grain is 4096 elements), and some
+    // segments are shorter than one vector.
+    const std::vector<int64_t> kSegLens = {3,    4093, 10,  4100,
+                                           5,    1,    8200};
+    const simd::Tier initial = simd::tier();
+    InProcessTransport transport;
+    for (int ranks : {1, 2, 3, 4, 8}) {
+        for (ReduceOp op : {ReduceOp::Mean, ReduceOp::Sum}) {
+            Rng rng(300 + ranks);
+            // storage[segment][rank]
+            std::vector<std::vector<std::vector<float>>> init;
+            for (int64_t len : kSegLens) {
+                init.emplace_back();
+                for (int d = 0; d < ranks; ++d)
+                    init.back().push_back(normals(rng, len));
+            }
+            const double scale =
+                op == ReduceOp::Mean ? 1.0 / ranks : 1.0;
+            auto want = init;
+            for (size_t e = 0; e < kSegLens.size(); ++e) {
+                std::vector<float *> ptrs;
+                for (auto &r : want[e])
+                    ptrs.push_back(r.data());
+                combineReference(ptrs, 0, kSegLens[e], scale);
+            }
+            for (simd::Tier tier : supportedTiers()) {
+                simd::setTier(tier);
+                auto got = init;
+                CommGroup group;
+                group.ranks = ranks;
+                for (size_t e = 0; e < kSegLens.size(); ++e) {
+                    std::vector<float *> ptrs;
+                    for (auto &r : got[e])
+                        ptrs.push_back(r.data());
+                    group.segPtrs.push_back(ptrs);
+                    group.segLens.push_back(kSegLens[e]);
+                }
+                group.finalize();
+                transport.allReduce(CommPhase::DpReduce, group, op);
+                for (size_t e = 0; e < kSegLens.size(); ++e) {
+                    for (int d = 0; d < ranks; ++d) {
+                        EXPECT_TRUE(
+                            bitwiseEqual(got[e][d], want[e][d]))
+                            << simd::tierName(tier)
+                            << " ranks=" << ranks << " segment=" << e
+                            << " rank=" << d;
+                    }
+                }
+            }
+        }
+    }
+    simd::setTier(initial);
 }
 
 TEST(SimdDispatch, TrainerBitwiseIdenticalPerTier)
