@@ -78,6 +78,11 @@ struct ReduceVolume
  * workers every iteration. Holds per-parameter DistributedPowerSgd
  * state and per-worker residuals so error feedback spans iterations
  * (which is exactly what makes DP compression stale, per the paper).
+ *
+ * The trainer reduces through the bucketed ReduceEngine; this
+ * straight per-parameter walk is the reference oracle the engine is
+ * tested against bit for bit (test_reduce_engine), and compressible()
+ * is the one predicate both share.
  */
 class DataParallelReducer
 {

@@ -123,7 +123,8 @@ ReduceEngine::bind(
         if (compress) {
             // Dedicated bucket: PowerSGD state is shaped by this
             // parameter's matrix, and its per-parameter seed keeps
-            // the compressed stream identical to the legacy path.
+            // the compressed stream identical to the reference
+            // reducer's.
             close_open();
             auto bucket = std::make_unique<Bucket>();
             bucket->spec.params.push_back(j);
@@ -198,11 +199,9 @@ ReduceEngine::bind(
 }
 
 void
-ReduceEngine::beginIteration(TaskGroup &group, bool overlap,
-                             int64_t iteration)
+ReduceEngine::beginIteration(TaskGroup &group, int64_t iteration)
 {
     group_ = &group;
-    overlap_ = overlap;
     enqueued_ = false;
     iteration_ = iteration;
     arrivals_.store(0, std::memory_order_relaxed);
@@ -219,21 +218,12 @@ ReduceEngine::beginIteration(TaskGroup &group, bool overlap,
 void
 ReduceEngine::notifyReplicaDone()
 {
-    if (!overlap_)
-        return;
     // acq_rel: the last arrival must observe every replica's
     // gradient writes before the buckets go onto the queue.
     const int arrived =
         arrivals_.fetch_add(1, std::memory_order_acq_rel) + 1;
     OPTIMUS_ASSERT(arrived <= config_.workers);
     if (arrived == config_.workers)
-        enqueueAll();
-}
-
-void
-ReduceEngine::flush()
-{
-    if (!enqueued_)
         enqueueAll();
 }
 
@@ -299,7 +289,8 @@ ReduceEngine::reduceExact(Bucket &bucket)
     // Mean all-reduce over the bucket's flat extent via the
     // transport; the segmented combine kernel (grain-fixed chunks,
     // double accumulation in replica order — bitwise identical to
-    // the legacy per-parameter path) lives in InProcessTransport.
+    // the reference per-parameter path) lives in
+    // InProcessTransport.
     const CommEvent ev = transport_->allReduce(
         CommPhase::DpReduce, bucket.group, ReduceOp::Mean);
     bucket.volume.exactBytes = ev.exactBytes;
@@ -360,6 +351,7 @@ ReduceEngine::reduceCompressed(Bucket &bucket)
 ReduceVolume
 ReduceEngine::collect(double *busy_seconds) const
 {
+    OPTIMUS_ASSERT(enqueued_);
     ReduceVolume volume;
     double busy = 0.0;
     for (const auto &bucket : buckets_) {

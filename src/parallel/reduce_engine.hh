@@ -2,10 +2,10 @@
  * @file
  * Bucketed, backward-overlapped data-parallel gradient reduction.
  *
- * The legacy `DataParallelReducer` walks one pipeline stage's
- * parameters sequentially after a hard barrier at the end of
- * backward. This engine restructures that hottest non-GEMM path the
- * way DDP/Megatron do:
+ * The trainer's only data-parallel reduce path. Where the reference
+ * `DataParallelReducer` walks one pipeline stage's parameters
+ * sequentially after backward, this engine structures that hottest
+ * non-GEMM path the way DDP/Megatron do:
  *
  *  - **Bucketing.** Each stage's (non-excluded) parameters are
  *    flattened, in parameter order, into fixed-capacity buckets of
@@ -18,23 +18,22 @@
  *    feedback residuals.
  *
  *  - **Overlap.** Buckets are independent tasks on the runtime
- *    thread pool's task queue (`TaskGroup`). In overlapped mode the
- *    D-th replica to finish backward for the stage enqueues the
- *    stage's buckets, so late-stage reduction runs on idle pool
- *    workers while early stages are still in backward. In barriered
- *    mode the trainer enqueues everything after the replica loop —
- *    the same tasks, just later.
+ *    thread pool's task queue (`TaskGroup`). The D-th replica to
+ *    finish backward for the stage enqueues the stage's buckets, so
+ *    late-stage reduction runs on idle pool workers while early
+ *    stages are still in backward (on a serial pool the tasks run
+ *    inline at that point).
  *
  *  - **Determinism.** A bucket reduce is bitwise identical no
  *    matter which thread runs it or when: the exact path combines
  *    elements of the bucket's flat extent in chunks of a fixed
  *    grain, accumulating over replicas in replica order in double
- *    (exactly the legacy `combine()` arithmetic), and the
+ *    (exactly the reference reducer's arithmetic), and the
  *    compressed path is the same per-parameter distributed-PowerSGD
  *    protocol with the same per-parameter seeds. Buckets write
  *    disjoint state, and volumes are summed in bucket-index order.
- *    Overlapped == barriered == legacy, bitwise, at any
- *    OPTIMUS_THREADS.
+ *    The engine equals `DataParallelReducer`, bitwise, at any D and
+ *    any OPTIMUS_THREADS (test_reduce_engine checks it).
  *
  *  - **No per-step churn.** Error-fed inputs, residuals, and the
  *    mean reconstruction live in per-bucket persistent scratch;
@@ -114,29 +113,25 @@ class ReduceEngine
 
     /**
      * Arm the engine for one iteration. @p group receives the
-     * bucket tasks; with @p overlap the D-th notifyReplicaDone()
-     * call enqueues them, otherwise flush() does. @p iteration
-     * stamps this iteration's trace spans.
+     * bucket tasks, which the D-th notifyReplicaDone() call
+     * enqueues. @p iteration stamps this iteration's trace spans.
      */
-    void beginIteration(TaskGroup &group, bool overlap,
-                        int64_t iteration = 0);
+    void beginIteration(TaskGroup &group, int64_t iteration = 0);
 
     /**
      * Replica-done signal, called from inside the replica loop
      * (thread-safe) once this stage's backward — and micro-batch
-     * gradient scaling — finished on one replica. The last arrival
-     * enqueues every bucket when overlap is armed.
+     * gradient scaling — finished on one replica. The D-th arrival
+     * enqueues every bucket.
      */
     void notifyReplicaDone();
-
-    /** Enqueue any bucket not yet enqueued this iteration. */
-    void flush();
 
     /**
      * Collect this iteration's traffic volumes (bucket order, so
      * the sum is schedule-independent). Call after the TaskGroup
-     * drained. @p busy_seconds, when non-null, receives the summed
-     * wall time spent inside this stage's bucket tasks.
+     * drained; asserts that all D replicas signalled this
+     * iteration. @p busy_seconds, when non-null, receives the
+     * summed wall time spent inside this stage's bucket tasks.
      */
     ReduceVolume collect(double *busy_seconds = nullptr) const;
 
@@ -188,7 +183,6 @@ class ReduceEngine
 
     /** Per-iteration state. */
     TaskGroup *group_ = nullptr;
-    bool overlap_ = false;
     bool enqueued_ = false;
     int64_t iteration_ = 0;
     std::atomic<int> arrivals_{0};

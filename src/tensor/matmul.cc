@@ -42,16 +42,16 @@ constexpr int64_t JW = 32;
 typedef float Vec __attribute__((vector_size(64), aligned(4)));
 constexpr int64_t VL = 16;
 
-inline Vec
-vload(const float *p)
+/** Loads into @p v instead of returning it: returning a 64-byte
+ *  vector changes the ABI when AVX-512 is off (GCC's -Wpsabi). */
+inline void
+vload(Vec &v, const float *p)
 {
-    Vec v;
     __builtin_memcpy(&v, p, sizeof(Vec));
-    return v;
 }
 
 inline void
-vstore(float *p, Vec v)
+vstore(float *p, const Vec &v)
 {
     __builtin_memcpy(p, &v, sizeof(Vec));
 }
@@ -73,8 +73,9 @@ microKernel(float *const *crows, const float *const *arows,
     Vec q[ROWS][2] = {};
     const float *bp = bp0;
     for (int64_t p = 0; p < kc; ++p, bp += nc_pad) {
-        const Vec b0 = vload(bp);
-        const Vec b1 = vload(bp + VL);
+        Vec b0, b1;
+        vload(b0, bp);
+        vload(b1, bp + VL);
         for (int r = 0; r < ROWS; ++r) {
             const Vec x = Vec{} + arows[r][p];
             q[r][0] += x * b0;
@@ -83,8 +84,11 @@ microKernel(float *const *crows, const float *const *arows,
     }
     if (cols == JW) {
         for (int r = 0; r < ROWS; ++r) {
-            vstore(crows[r], vload(crows[r]) + q[r][0]);
-            vstore(crows[r] + VL, vload(crows[r] + VL) + q[r][1]);
+            Vec c0, c1;
+            vload(c0, crows[r]);
+            vload(c1, crows[r] + VL);
+            vstore(crows[r], c0 + q[r][0]);
+            vstore(crows[r] + VL, c1 + q[r][1]);
         }
     } else {
         float tmp[JW];

@@ -25,7 +25,14 @@
 
 #if OPTIMUS_SIMD_X86
 
+// GCC 12's avx512fintrin.h builds _mm512_undefined_* from a
+// self-initialized local, which -Wmaybe-uninitialized flags wherever
+// a reduction intrinsic inlines it. The suppression covers only the
+// header's own lines.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 /** AVX2 kernel tier: 8-wide float, FMA, POPCNT for mask counts. */
 #define OPTIMUS_TARGET_AVX2 __attribute__((target("avx2,fma,popcnt")))

@@ -5,10 +5,11 @@
  * warmup the counter is armed around full training iterations and
  * the gate fails on ANY heap allocation made anywhere in the
  * process — tensor storage, containers, closures, pool tasks — on
- * the forward/backward/compress/reduce/update path, in every DP
- * reduce mode. This is the runtime enforcement of what optlint's
- * ALLOC01 hot set declares statically and what the coldalloc /
- * coldfn annotations promise is warmup-only.
+ * the forward/backward/compress/reduce/update path, at D == 1 and
+ * D == 2 (both run the one bucketed reduce-engine path). This is
+ * the runtime enforcement of what optlint's ALLOC01 hot set
+ * declares statically and what the coldalloc / coldfn annotations
+ * promise is warmup-only.
  *
  * `--serve` gates the serving decode path instead: a pipelined
  * (P=2) continuous-batching ServeEngine is warmed with two full
@@ -162,7 +163,7 @@ namespace
 using namespace optimus;
 
 Trainer3dConfig
-gateConfig(DpReduceMode mode)
+gateConfig(int d_ways)
 {
     GptConfig model;
     model.vocab = 24;
@@ -174,7 +175,7 @@ gateConfig(DpReduceMode mode)
 
     Trainer3dConfig config;
     config.model = model;
-    config.dataParallel = 2;
+    config.dataParallel = d_ways;
     config.pipelineStages = 2;
     config.microBatches = 2;
     config.microBatchSize = 2;
@@ -185,29 +186,14 @@ gateConfig(DpReduceMode mode)
     config.dp.enabled = true;
     config.dp.stageFraction = 1.0;
     config.dp.spec.rank = 2;
-    config.reduceMode = mode;
     return config;
-}
-
-const char *
-modeName(DpReduceMode mode)
-{
-    switch (mode) {
-      case DpReduceMode::Sequential:
-        return "sequential";
-      case DpReduceMode::Barriered:
-        return "barriered";
-      case DpReduceMode::Overlapped:
-        return "overlapped";
-    }
-    return "?";
 }
 
 /** @return armed allocation count over two post-warmup steps. */
 long long
-runGate(DpReduceMode mode, const LmDataset &data)
+runGate(int d_ways, const LmDataset &data)
 {
-    Trainer3d trainer(gateConfig(mode));
+    Trainer3d trainer(gateConfig(d_ways));
     Rng rng(99);
     // Warmup: step one sizes the arenas and ratchets every scratch
     // capacity; step two builds lazily-constructed compressor warm
@@ -293,8 +279,7 @@ telemetryMain(const LmDataset &data)
     if (!obs::startMetricsServer(0))
         std::fprintf(stderr, "alloc_gate: warning: exporter "
                              "listener failed to start\n");
-    const long long train_count =
-        runGate(DpReduceMode::Overlapped, data);
+    const long long train_count = runGate(2, data);
     const long long serve_count = runServeGate();
     obs::stopMetricsServer();
     obs::enableProbes(false);
@@ -365,29 +350,27 @@ main(int argc, char **argv)
         return telemetryMain(data);
 
     int failures = 0;
-    for (const DpReduceMode mode :
-         {DpReduceMode::Sequential, DpReduceMode::Barriered,
-          DpReduceMode::Overlapped}) {
-        const long long count = runGate(mode, data);
+    for (const int d_ways : {1, 2}) {
+        const long long count = runGate(d_ways, data);
         const int64_t heap = mem::heapAllocs();
-        std::printf("alloc_gate: mode=%-10s armed allocs=%lld "
+        std::printf("alloc_gate: mode=train D=%d armed allocs=%lld "
                     "(lifetime: heapAllocs=%lld arenaHits=%lld "
                     "fallbacks=%lld peakBytes=%lld)\n",
-                    modeName(mode), count,
-                    static_cast<long long>(heap),
+                    d_ways, count, static_cast<long long>(heap),
                     static_cast<long long>(mem::arenaHits()),
                     static_cast<long long>(mem::heapFallbacks()),
                     static_cast<long long>(mem::peakBytes()));
         if (count != 0) {
             std::fprintf(stderr,
-                         "alloc_gate: FAIL mode=%s: %lld heap "
-                         "allocation(s) in a steady-state step\n",
-                         modeName(mode), count);
+                         "alloc_gate: FAIL mode=train D=%d: %lld "
+                         "heap allocation(s) in a steady-state "
+                         "step\n",
+                         d_ways, count);
             ++failures;
         }
     }
     if (failures == 0)
         std::printf("alloc_gate: PASS (zero steady-state heap "
-                    "allocations in all reduce modes)\n");
+                    "allocations at D=1 and D=2)\n");
     return failures == 0 ? 0 : 1;
 }

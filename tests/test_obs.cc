@@ -256,7 +256,6 @@ tracedConfig(const std::string &trace_path)
     config.microBatchSize = 2;
     config.learningRate = 1e-3f;
     config.useAdam = true;
-    config.reduceMode = DpReduceMode::Overlapped;
     config.bucketBytes = 2048;
     config.cb.enabled = true;
     config.dp.enabled = true;
@@ -669,6 +668,41 @@ TEST(ProbedTrainer, ProbesAreBitwiseNeutralAndReconcile)
     ASSERT_NE(gradnorm, nullptr);
     EXPECT_EQ(gradnorm->totalPushed(), 5);
     EXPECT_GT(gradnorm->rollup().min, 0.0);
+}
+
+TEST(ProbedTrainer, DpHealthReportsCompressionAtD1)
+{
+    // A single replica still runs the DP reduce engine, so a
+    // DP-compressed D=1 run must report its compressed buckets in
+    // dpHealth() and the probe.dp.* rings.
+    resetTracing();
+    obs::RingRegistry::instance().resetValues();
+    obs::enableMetrics(true);
+    obs::enableProbes(true);
+    obs::setProbeInterval(1);
+    Trainer3dConfig config = tracedConfig("");
+    config.dataParallel = 1;
+    Trainer3d trainer(config);
+    {
+        LmDataset data = tinyData(tinyModel().seqLen);
+        Rng rng(11);
+        for (int it = 0; it < 3; ++it)
+            trainer.trainIteration(data, rng);
+    }
+    const obs::CompressionHealth dp = trainer.dpHealth();
+    obs::enableProbes(false);
+    obs::enableMetrics(false);
+    obs::setProbeInterval(16);
+
+    EXPECT_GT(dp.sends, 0);
+    EXPECT_GT(dp.compressedSends, 0);
+    EXPECT_GT(dp.inputNormSq, 0.0);
+    EXPECT_LT(dp.wireRatio(), 1.0);
+    const obs::Ring *relerr =
+        obs::RingRegistry::instance().find("probe.dp.relerr");
+    ASSERT_NE(relerr, nullptr);
+    EXPECT_EQ(relerr->totalPushed(), 3);
+    EXPECT_GT(relerr->rollup().min, 0.0);
 }
 
 TEST(Promexport, RendersExpositionFormatAndServesHttp)

@@ -87,7 +87,6 @@ tinyConfig()
     config.microBatchSize = 2;
     config.learningRate = 1e-3f;
     config.useAdam = true;
-    config.reduceMode = DpReduceMode::Overlapped;
     config.bucketBytes = 2048;
     config.cb.enabled = true;
     config.dp.enabled = true;
@@ -185,8 +184,9 @@ TEST(SimdDispatch, ScalarAlwaysSupportedAndTiersAreOrdered)
     EXPECT_TRUE(simd::supported(simd::cap()));
     // Tiers are cumulative: a CPU with AVX-512 kernels also runs
     // the AVX2 ones.
-    if (simd::supported(simd::Tier::Avx512))
+    if (simd::supported(simd::Tier::Avx512)) {
         EXPECT_TRUE(simd::supported(simd::Tier::Avx2));
+    }
 }
 
 TEST(SimdDispatch, SetTierSticksForSupportedTiers)
