@@ -5,10 +5,11 @@
  * (orthonormalizeColumns), full PowerSGD compress, top-k selection,
  * ternary and one-bit quantization — at every supported dispatch
  * tier, forced via simd::setTier exactly like OPTIMUS_SIMD would.
- * Two non-compression step kernels from the same dispatch layer
- * ride along: the Adam update (simd::adamUpdate) and the DP
- * all-reduce combine (simd::rankCombine over 4 ranks, counted in
- * elements per rank).
+ * Non-compression step kernels from the same dispatch layer ride
+ * along: the Adam update (simd::adamUpdate), the DP all-reduce
+ * combine (simd::rankCombine over 4 ranks, counted in elements per
+ * rank) and GELU (simd::gelu, Train with dy/dx and Infer; one call
+ * over the span, so one thread at any pool width).
  * Writes BENCH_compress.json (Melem/s, best of --reps) so the
  * per-tier speedups are diffable across PRs.
  *
@@ -143,7 +144,17 @@ main(int argc, char **argv)
     addRow("adamUpdate", n, [&] {
         simd::adamUpdate(simd::tier(), adam_m.data(), adam_v.data(),
                          flat.data(), adam_w.data(), n, 0.9f, 0.999f,
-                         1e-3f, 1e-8f);
+                         1e-3f, 1e-8f, false);
+    });
+
+    Tensor gelu_y({n}), gelu_dydx({n});
+    addRow("gelu(train)", n, [&] {
+        simd::gelu(simd::tier(), flat.data(), gelu_y.data(),
+                   gelu_dydx.data(), n);
+    });
+    addRow("gelu(infer)", n, [&] {
+        simd::gelu(simd::tier(), flat.data(), gelu_y.data(), nullptr,
+                   n);
     });
 
     constexpr int kRanks = 4;

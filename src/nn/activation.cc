@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "runtime/runtime.hh"
+#include "tensor/simd.hh"
 #include "util/logging.hh"
 
 namespace optimus
@@ -15,10 +16,10 @@ constexpr float kSqrt2OverPi = 0.7978845608028654f;
 constexpr float kGeluCoeff = 0.044715f;
 
 /**
- * The GELU expressions, split at the one transcendental so the
- * training forward can evaluate tanh once and derive both y and
- * dy/dx from it. Gelu::value/derivative are these same helpers, so
- * the stash-fed backward is bitwise dy * Gelu::derivative(x).
+ * The GELU expressions, split at the one transcendental. These are
+ * the std::tanh reference: Gelu::forward runs simd::gelu, whose
+ * every tier is bitwise equal to them (DESIGN.md section 8), so the
+ * stash-fed backward is bitwise dy * Gelu::derivative(x).
  */
 inline float
 geluTanh(float x)
@@ -66,24 +67,18 @@ Gelu::forward(const Tensor &x)
     const float *xd = x.data();
     float *yd = y.data();
     const int64_t n = x.size();
-    if (mode() != Mode::Train) {
-        parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
-            for (int64_t i = lo; i < hi; ++i)
-                yd[i] = value(xd[i]);
-        });
-        return y;
-    }
     // Train: one tanh per element yields both y and dGELU/dx, and
     // the stash holds the derivative, so backward is one multiply.
-    Tensor &grad = stash_.pushSlot();
-    grad = x;
-    float *gd = grad.data();
+    float *gd = nullptr;
+    if (mode() == Mode::Train) {
+        Tensor &grad = stash_.pushSlot();
+        grad = x;
+        gd = grad.data();
+    }
+    const simd::Tier tier = simd::tier();
     parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-            const float t = geluTanh(xd[i]);
-            yd[i] = geluValue(xd[i], t);
-            gd[i] = geluDerivative(xd[i], t);
-        }
+        simd::gelu(tier, xd + lo, yd + lo,
+                   gd == nullptr ? nullptr : gd + lo, hi - lo);
     });
     return y;
 }

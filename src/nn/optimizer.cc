@@ -35,7 +35,7 @@ SgdOptimizer::SgdOptimizer(std::vector<ParamPtr> params, float lr,
 }
 
 void
-SgdOptimizer::step()
+SgdOptimizer::update(bool zero_grads)
 {
     for (size_t i = 0; i < params_.size(); ++i) {
         Param &p = *params_[i];
@@ -47,6 +47,8 @@ SgdOptimizer::step()
         } else {
             p.value.addScaled(p.grad, -lr_);
         }
+        if (zero_grads)
+            p.zeroGrad();
     }
 }
 
@@ -64,7 +66,7 @@ AdamOptimizer::AdamOptimizer(std::vector<ParamPtr> params, float lr,
 }
 
 void
-AdamOptimizer::step()
+AdamOptimizer::update(bool zero_grads)
 {
     ++t_;
     const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
@@ -77,7 +79,7 @@ AdamOptimizer::step()
         Param &p = *params_[i];
         simd::adamUpdate(tier, m_[i].data(), v_[i].data(),
                          p.grad.data(), p.value.data(), p.size(),
-                         beta1_, beta2_, alpha, eps_);
+                         beta1_, beta2_, alpha, eps_, zero_grads);
     }
 }
 

@@ -22,7 +22,14 @@ class Optimizer
     virtual ~Optimizer() = default;
 
     /** Apply one update from the accumulated gradients. */
-    virtual void step() = 0;
+    void step() { update(false); }
+
+    /**
+     * step() then zeroGrad() in one pass over each gradient: every
+     * gradient is zeroed as the update reads it. Bitwise equal to
+     * step(); zeroGrad().
+     */
+    void stepAndZeroGrad() { update(true); }
 
     /** Zero all gradient accumulators. */
     void zeroGrad();
@@ -34,6 +41,9 @@ class Optimizer
     const std::vector<ParamPtr> &params() const { return params_; }
 
   protected:
+    /** One update; zero each gradient once read when @p zero_grads. */
+    virtual void update(bool zero_grads) = 0;
+
     std::vector<ParamPtr> params_;
 };
 
@@ -44,10 +54,11 @@ class SgdOptimizer : public Optimizer
     SgdOptimizer(std::vector<ParamPtr> params, float lr,
                  float momentum = 0.0f);
 
-    void step() override;
-
     float learningRate() const { return lr_; }
     void setLearningRate(float lr) { lr_ = lr; }
+
+  protected:
+    void update(bool zero_grads) override;
 
   private:
     float lr_;
@@ -63,10 +74,11 @@ class AdamOptimizer : public Optimizer
                   float beta1 = 0.9f, float beta2 = 0.999f,
                   float eps = 1e-8f);
 
-    void step() override;
-
     float learningRate() const { return lr_; }
     void setLearningRate(float lr) { lr_ = lr; }
+
+  protected:
+    void update(bool zero_grads) override;
 
   private:
     float lr_;

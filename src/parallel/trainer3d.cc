@@ -409,10 +409,8 @@ Trainer3d::trainIteration(const LmDataset &data, Rng &rng)
     if (config_.applyUpdates) {
         parallelFor(0, d_ways, 1, [&](int64_t d_lo, int64_t d_hi) {
             for (int64_t d = d_lo; d < d_hi; ++d) {
-                for (int p = 0; p < p_ways; ++p) {
-                    optimizers_[d][p]->step();
-                    optimizers_[d][p]->zeroGrad();
-                }
+                for (int p = 0; p < p_ways; ++p)
+                    optimizers_[d][p]->stepAndZeroGrad();
             }
         });
     }

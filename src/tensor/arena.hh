@@ -154,15 +154,6 @@ class WorkspaceScope
  */
 Workspace *currentWorkspace();
 
-/**
- * Install @p ws as the thread's scope and return the previous one —
- * the runtime uses this pair to propagate the submitting thread's
- * scope onto pool workers. Unlike WorkspaceScope, this bypasses the
- * OPTIMUS_ARENA gate check on read (the gate applies at
- * currentWorkspace()).
- */
-Workspace *exchangeCurrentWorkspace(Workspace *ws);
-
 /** True unless OPTIMUS_ARENA=0 disabled arenas (read once). */
 bool arenaEnabled();
 

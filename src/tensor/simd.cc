@@ -259,14 +259,16 @@ keepAboveScalar(float *dst, const float *src, const float *mag,
 }
 
 void
-adamScalar(float *m, float *v, const float *g, float *w, int64_t n,
-           float beta1, float beta2, float alpha, float eps)
+adamScalar(float *m, float *v, float *g, float *w, int64_t n,
+           float beta1, float beta2, float alpha, float eps, bool zero_g)
 {
     for (int64_t j = 0; j < n; ++j)
     {
         m[j] = beta1 * m[j] + (1.0f - beta1) * g[j];
         v[j] = beta2 * v[j] + (1.0f - beta2) * g[j] * g[j];
         w[j] -= alpha * m[j] / (std::sqrt(v[j]) + eps);
+        if (zero_g)
+            g[j] = 0.0f;
     }
 }
 
@@ -288,6 +290,28 @@ rankCombineScalar(float *const *ptrs, int ranks, int64_t offset,
 {
     for (int64_t k = offset; k < offset + n; ++k)
         rankCombineAt(ptrs, ranks, k, scale);
+}
+
+constexpr float kGeluSqrt2OverPi = 0.7978845608028654f;
+constexpr float kGeluCoeff = 0.044715f;
+
+/** GELU with libm's tanh — the nn/activation loops, verbatim. */
+void
+geluScalar(const float *x, float *y, float *dydx, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i)
+    {
+        const float xi = x[i];
+        const float t = std::tanh(
+            kGeluSqrt2OverPi * (xi + kGeluCoeff * xi * xi * xi));
+        y[i] = 0.5f * xi * (1.0f + t);
+        if (dydx == nullptr)
+            continue;
+        const float sech2 = 1.0f - t * t;
+        const float dinner =
+            kGeluSqrt2OverPi * (1.0f + 3.0f * kGeluCoeff * xi * xi);
+        dydx[i] = 0.5f * (1.0f + t) + 0.5f * xi * sech2 * dinner;
+    }
 }
 
 #if OPTIMUS_SIMD_X86
@@ -493,8 +517,8 @@ keepAboveAvx2(float *dst, const float *src, const float *mag,
 }
 
 OPTIMUS_TARGET_AVX2 void
-adamAvx2(float *m, float *v, const float *g, float *w, int64_t n,
-         float beta1, float beta2, float alpha, float eps)
+adamAvx2(float *m, float *v, float *g, float *w, int64_t n,
+         float beta1, float beta2, float alpha, float eps, bool zero_g)
 {
     const __m256 b1 = _mm256_set1_ps(beta1);
     const __m256 c1 = _mm256_set1_ps(1.0f - beta1);
@@ -506,6 +530,8 @@ adamAvx2(float *m, float *v, const float *g, float *w, int64_t n,
     for (; j + 8 <= n; j += 8)
     {
         const __m256 gj = _mm256_loadu_ps(g + j);
+        if (zero_g)
+            _mm256_storeu_ps(g + j, _mm256_setzero_ps());
         const __m256 mj =
             _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + j)),
                           _mm256_mul_ps(c1, gj));
@@ -521,7 +547,7 @@ adamAvx2(float *m, float *v, const float *g, float *w, int64_t n,
                          _mm256_sub_ps(_mm256_loadu_ps(w + j), step));
     }
     adamScalar(m + j, v + j, g + j, w + j, n - j, beta1, beta2, alpha,
-               eps);
+               eps, zero_g);
 }
 
 /** Rank-order double sum of 4 floats per rank at @p k. */
@@ -747,8 +773,9 @@ keepAboveAvx512(float *dst, const float *src, const float *mag,
 }
 
 OPTIMUS_TARGET_AVX512 void
-adamAvx512(float *m, float *v, const float *g, float *w, int64_t n,
-           float beta1, float beta2, float alpha, float eps)
+adamAvx512(float *m, float *v, float *g, float *w, int64_t n,
+           float beta1, float beta2, float alpha, float eps,
+           bool zero_g)
 {
     const __m512 b1 = _mm512_set1_ps(beta1);
     const __m512 c1 = _mm512_set1_ps(1.0f - beta1);
@@ -760,6 +787,8 @@ adamAvx512(float *m, float *v, const float *g, float *w, int64_t n,
     for (; j + 16 <= n; j += 16)
     {
         const __m512 gj = _mm512_loadu_ps(g + j);
+        if (zero_g)
+            _mm512_storeu_ps(g + j, _mm512_setzero_ps());
         const __m512 mj =
             _mm512_add_ps(_mm512_mul_ps(b1, _mm512_loadu_ps(m + j)),
                           _mm512_mul_ps(c1, gj));
@@ -775,7 +804,7 @@ adamAvx512(float *m, float *v, const float *g, float *w, int64_t n,
                          _mm512_sub_ps(_mm512_loadu_ps(w + j), step));
     }
     adamScalar(m + j, v + j, g + j, w + j, n - j, beta1, beta2, alpha,
-               eps);
+               eps, zero_g);
 }
 
 /** Rank-order double sum of 8 floats per rank at @p k. */
@@ -810,6 +839,189 @@ rankCombineAvx512(float *const *ptrs, int ranks, int64_t offset,
     }
     for (; k < end; ++k)
         rankCombineAt(ptrs, ranks, k, scale);
+}
+
+// ----------------------------------------------------------------
+// GELU vector tiers: a lane-parallel replica of fdlibm's tanhf
+// (s_tanhf.c) and of the expm1f (s_expm1f.c) paths tanhf reaches,
+// written once over GCC vector types and instantiated 8-wide for
+// AVX2 and 16-wide for AVX-512 (the target-attributed wrappers
+// inline it, so each tier compiles to its own ISA). Every fdlibm
+// branch is evaluated in every lane and picked by a lane select;
+// each expression keeps fdlibm's operation order with no FMA
+// (-ffp-contract=off) and IEEE division, so a lane rounds exactly
+// like libm's scalar tanhf.
+//
+// Reachable expm1f paths. tanhf(x) calls expm1f(a) only for
+// 2^-55 <= |x| < 22, with a = 2|x| when |x| >= 1 (so a in [2, 44),
+// k = (int)(a / ln2 + 0.5) in [3, 63]) and a = -2|x| otherwise (so
+// a in (-2, -2^-54], k in {0, -1, -2, -3}). That leaves the
+// |a| < 2^-25 early return and the k = 0, k = -1, k <= -2,
+// 3 <= k <= 22, 23 <= k <= 56 and k > 56 results; expm1f's
+// overflow, infinity, NaN, k = 1 and k = 128 paths never run.
+// ----------------------------------------------------------------
+
+typedef float GeluF8 __attribute__((vector_size(32)));
+typedef int32_t GeluI8 __attribute__((vector_size(32)));
+typedef uint32_t GeluU8 __attribute__((vector_size(32)));
+typedef float GeluF16 __attribute__((vector_size(64)));
+typedef int32_t GeluI16 __attribute__((vector_size(64)));
+typedef uint32_t GeluU16 __attribute__((vector_size(64)));
+
+// fdlibm's s_expm1f.c constants.
+constexpr float kLn2Hi = 6.9313812256e-01f;  // 0x3f317180
+constexpr float kLn2Lo = 9.0580006145e-06f;  // 0x3717f7d1
+constexpr float kInvLn2 = 1.4426950216e+00f; // 0x3fb8aa3b
+constexpr float kQ1 = -3.3333335072e-02f;    // 0xbd088889
+constexpr float kQ2 = 1.5873016091e-03f;     // 0x3ad00d01
+constexpr float kQ3 = -7.9365076090e-05f;    // 0xb8a670cd
+constexpr float kQ4 = 4.0082177293e-06f;     // 0x36867e54
+constexpr float kQ5 = -2.0109921195e-07f;    // 0xb457edbb
+
+/**
+ * out = tanhf(x) per lane. Vectors travel by reference so the
+ * (untargeted) template never passes a wide vector by value; it is
+ * always inlined into a tier's target-attributed kernel. Range tests
+ * are single unsigned compares: AVX-512F alone (no DQ) cannot AND
+ * two compare results as vectors, and GCC would go lane by lane.
+ */
+template <class F, class I, class U>
+[[gnu::always_inline]] inline void
+tanhfLanes(const F &x, F &out)
+{
+    const I jx = (I)x;
+    const I ix = jx & 0x7fffffff;
+    const I big = ix >= 0x3f800000; // |x| >= 1
+
+    // expm1f's argument. Lanes tanhf does not send to expm1f get the
+    // stand-in |x| = 1, which keeps every lane's k in [-3, 63] and
+    // its integer math in range; their results are replaced below.
+    const I via_expm1 =
+        (U)(ix - 0x24000000) < 0x41b00000u - 0x24000000u;
+    const F ax = via_expm1 ? (F)ix : (F{} + 1.0f);
+    const F a = big ? 2.0f * ax : -2.0f * ax;
+    const I ha = (I)ax + 0x00800000; // |a| as bits (ax is normal)
+
+    // Argument reduction a = k ln2 + r, with r = hi - lo rounded and
+    // c its correction. a > 0 only when a >= 2, so the |a| < 1.5 ln2
+    // case always has k = -1.
+    const F half = big ? (F{} + 0.5f) : (F{} - 0.5f);
+    I k = __builtin_convertvector(kInvLn2 * a + half, I);
+    const F tk = __builtin_convertvector(k, F);
+    const I near_ln2 = ha < 0x3f851592;
+    const F hi = near_ln2 ? a + kLn2Hi : a - tk * kLn2Hi;
+    const F lo = near_ln2 ? (F{} - kLn2Lo) : tk * kLn2Lo;
+    k = near_ln2 ? (I{} - 1) : k;
+    const F r_red = hi - lo;
+    const F c = (hi - r_red) - lo;
+    const I reduced = ha > 0x3eb17218; // |a| > 0.5 ln2
+    const F r = reduced ? r_red : a;
+    k = reduced ? k : I{};
+
+    // expm1 on the primary range, then each k's reconstruction.
+    const F hfx = 0.5f * r;
+    const F hxs = r * hfx;
+    const F r1 =
+        1.0f +
+        hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+    const F t3 = 3.0f - r1 * hfx;
+    F e = hxs * ((r1 - t3) / (6.0f - r * t3));
+    const F em_k0 = r - (r * e - hxs);
+    e = r * (e - c) - c;
+    e -= hxs;
+    const F em_km1 = 0.5f * (r - e) - 0.5f;
+    const I kexp = k << 23; // k added to a float's exponent field
+    const F em_far = (F)((I)(1.0f - (e - r)) + kexp) - 1.0f;
+    const F t_mid = (F)(0x3f800000 - (0x1000000 >> (k & 31)));
+    const F em_mid = (F)((I)(t_mid - (e - r)) + kexp);
+    const F t_hi = (F)((0x7f - k) << 23);
+    const F em_hi = (F)((I)((r - (e + t_hi)) + 1.0f) + kexp);
+
+    F em = em_far; // k <= -2 or k > 56
+    em = ((U)(k - 3) <= 22u - 3u) ? em_mid : em;   // 3 <= k <= 22
+    em = ((U)(k - 23) <= 56u - 23u) ? em_hi : em; // 23 <= k <= 56
+    em = (k == -1) ? em_km1 : em;
+    em = (k == 0) ? em_k0 : em;
+    em = (ha < 0x33000000) ? a : em; // |a| < 2^-25: expm1f(a) = a
+
+    // tanhf: 1 - 2 / (em + 2) for |x| >= 1, else -em / (em + 2) —
+    // one division on a selected numerator.
+    const F q = (big ? (F{} + 2.0f) : -em) / (em + 2.0f);
+    F z = big ? 1.0f - q : q;
+    z = (ix >= 0x41b00000) ? (F{} + (1.0f - 1.0e-30f)) : z; // |x| >= 22
+    z = (jx >= 0) ? z : -z;
+    // |x| < 2^-55, ±0 included (±0 * 1 keeps the sign, like
+    // fdlibm's separate x == 0 return).
+    z = (ix < 0x24000000) ? x * (1.0f + x) : z;
+    const F rx = 1.0f / x;
+    const F z_nonfinite = (jx >= 0) ? rx + 1.0f : rx - 1.0f;
+    out = (ix >= 0x7f800000) ? z_nonfinite : z;
+}
+
+/** GELU of one vector; @p d only when kTrain. */
+template <class F, class I, class U, bool kTrain>
+[[gnu::always_inline]] inline void
+geluLanes(const F &x, F &y, F &d)
+{
+    const F u =
+        kGeluSqrt2OverPi * (x + ((kGeluCoeff * x) * x) * x);
+    F t;
+    tanhfLanes<F, I, U>(u, t);
+    y = (0.5f * x) * (1.0f + t);
+    if (!kTrain)
+        return;
+    const F sech2 = 1.0f - t * t;
+    const F dinner =
+        kGeluSqrt2OverPi * (1.0f + ((3.0f * kGeluCoeff) * x) * x);
+    d = 0.5f * (1.0f + t) + ((0.5f * x) * sech2) * dinner;
+}
+
+/**
+ * The vector-tier GELU loop. The tail is padded into one more full
+ * vector, so every element goes through the same replica.
+ */
+template <class F, class I, class U, bool kTrain>
+[[gnu::always_inline]] inline void
+geluSpan(const float *x, float *y, float *dydx, int64_t n)
+{
+    constexpr int64_t kW = sizeof(F) / sizeof(float);
+    F xv, yv, dv;
+    int64_t i = 0;
+    for (; i + kW <= n; i += kW)
+    {
+        std::memcpy(&xv, x + i, sizeof(F));
+        geluLanes<F, I, U, kTrain>(xv, yv, dv);
+        std::memcpy(y + i, &yv, sizeof(F));
+        if (kTrain)
+            std::memcpy(dydx + i, &dv, sizeof(F));
+    }
+    if (i == n)
+        return;
+    const size_t tail = static_cast<size_t>(n - i) * sizeof(float);
+    xv = F{};
+    std::memcpy(&xv, x + i, tail);
+    geluLanes<F, I, U, kTrain>(xv, yv, dv);
+    std::memcpy(y + i, &yv, tail);
+    if (kTrain)
+        std::memcpy(dydx + i, &dv, tail);
+}
+
+OPTIMUS_TARGET_AVX2 void
+geluAvx2(const float *x, float *y, float *dydx, int64_t n)
+{
+    if (dydx != nullptr)
+        geluSpan<GeluF8, GeluI8, GeluU8, true>(x, y, dydx, n);
+    else
+        geluSpan<GeluF8, GeluI8, GeluU8, false>(x, y, dydx, n);
+}
+
+OPTIMUS_TARGET_AVX512 void
+geluAvx512(const float *x, float *y, float *dydx, int64_t n)
+{
+    if (dydx != nullptr)
+        geluSpan<GeluF16, GeluI16, GeluU16, true>(x, y, dydx, n);
+    else
+        geluSpan<GeluF16, GeluI16, GeluU16, false>(x, y, dydx, n);
 }
 
 #endif // OPTIMUS_SIMD_X86
@@ -1006,17 +1218,19 @@ keepAbove(Tier t, float *dst, const float *src, const float *mag,
 }
 
 void
-adamUpdate(Tier t, float *m, float *v, const float *g, float *w,
-           int64_t n, float beta1, float beta2, float alpha, float eps)
+adamUpdate(Tier t, float *m, float *v, float *g, float *w, int64_t n,
+           float beta1, float beta2, float alpha, float eps, bool zero_g)
 {
 #if OPTIMUS_SIMD_X86
     if (t == Tier::Avx512)
-        return adamAvx512(m, v, g, w, n, beta1, beta2, alpha, eps);
+        return adamAvx512(m, v, g, w, n, beta1, beta2, alpha, eps,
+                          zero_g);
     if (t == Tier::Avx2)
-        return adamAvx2(m, v, g, w, n, beta1, beta2, alpha, eps);
+        return adamAvx2(m, v, g, w, n, beta1, beta2, alpha, eps,
+                        zero_g);
 #endif
     (void)t;
-    adamScalar(m, v, g, w, n, beta1, beta2, alpha, eps);
+    adamScalar(m, v, g, w, n, beta1, beta2, alpha, eps, zero_g);
 }
 
 void
@@ -1031,6 +1245,19 @@ rankCombine(Tier t, float *const *ptrs, int ranks, int64_t offset,
 #endif
     (void)t;
     rankCombineScalar(ptrs, ranks, offset, n, scale);
+}
+
+void
+gelu(Tier t, const float *x, float *y, float *dydx, int64_t n)
+{
+#if OPTIMUS_SIMD_X86
+    if (t == Tier::Avx512)
+        return geluAvx512(x, y, dydx, n);
+    if (t == Tier::Avx2)
+        return geluAvx2(x, y, dydx, n);
+#endif
+    (void)t;
+    geluScalar(x, y, dydx, n);
 }
 
 double

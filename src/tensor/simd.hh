@@ -144,11 +144,12 @@ int64_t keepAbove(Tier t, float *dst, const float *src,
  *
  * Separate multiplies and adds and IEEE (correctly rounded) sqrt
  * and division in every lane, so every tier matches the scalar
- * loop bit-for-bit. @p alpha carries the bias correction.
+ * loop bit-for-bit. @p alpha carries the bias correction. With
+ * @p zero_g set, g[i] is zeroed in the same pass, once read.
  */
-void adamUpdate(Tier t, float *m, float *v, const float *g, float *w,
+void adamUpdate(Tier t, float *m, float *v, float *g, float *w,
                 int64_t n, float beta1, float beta2, float alpha,
-                float eps);
+                float eps, bool zero_g);
 
 /**
  * All-reduce combine over @p ranks equal-length spans: for each
@@ -161,6 +162,23 @@ void adamUpdate(Tier t, float *m, float *v, const float *g, float *w,
  */
 void rankCombine(Tier t, float *const *ptrs, int ranks, int64_t offset,
                  int64_t n, double scale);
+
+/**
+ * GELU, tanh form, over a contiguous span: with
+ * u = kSqrt2OverPi * (x + ((0.044715 * x) * x) * x) and
+ * t = tanhf(u), y[i] = (0.5 * x) * (1 + t) and, unless @p dydx is
+ * null (Infer), dydx[i] = 0.5 * (1 + t) + ((0.5 * x) * (1 - t * t))
+ * * (kSqrt2OverPi * (1 + ((3 * 0.044715) * x) * x)).
+ *
+ * Scalar evaluates t with libm's std::tanh. The vector tiers run a
+ * lane-parallel replica of fdlibm's tanhf/expm1f (the algorithm
+ * glibc ships), every branch a lane select, with separate
+ * multiplies and adds and IEEE division — so on a libm whose tanhf
+ * is fdlibm's every tier is bitwise equal to the scalar loop
+ * (NaN inputs give NaN). Each element's result depends on that
+ * element alone. Allocation-free.
+ */
+void gelu(Tier t, const float *x, float *y, float *dydx, int64_t n);
 
 // ---------------------------------------------------------------
 // Strided variants (gather-free column walks over row-major

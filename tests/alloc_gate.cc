@@ -22,6 +22,11 @@
  * stack live: time-series rings, health probes sampling every step,
  * and the Prometheus exporter listening on an ephemeral port.
  *
+ * An armed window passes only when it counts zero operator-new calls
+ * AND adds zero to mem::heapAllocs(): tensor storage outside a
+ * workspace scope takes the aligned_alloc path, which the counting
+ * operator new never sees.
+ *
  * Not a gtest binary on purpose: the harness itself must not
  * allocate between arming and checking.
  */
@@ -46,6 +51,7 @@ namespace
 
 std::atomic<bool> g_armed{false};
 std::atomic<long long> g_armedAllocs{0};
+int64_t g_heapAllocsAtArm = 0;
 
 void *
 countedAlloc(std::size_t n, std::size_t align)
@@ -162,6 +168,35 @@ namespace
 
 using namespace optimus;
 
+/** What one armed window saw. */
+struct ArmedCounts
+{
+    /** operator new calls, from anywhere in the process. */
+    long long newCalls = 0;
+    /** mem::heapAllocs() delta: unscoped tensor storage, slabs. */
+    long long heapAllocs = 0;
+
+    bool clean() const { return newCalls == 0 && heapAllocs == 0; }
+};
+
+void
+arm()
+{
+    g_armedAllocs.store(0, std::memory_order_relaxed);
+    g_heapAllocsAtArm = mem::heapAllocs();
+    g_armed.store(true, std::memory_order_relaxed);
+}
+
+ArmedCounts
+disarm()
+{
+    g_armed.store(false, std::memory_order_relaxed);
+    ArmedCounts counts;
+    counts.newCalls = g_armedAllocs.load(std::memory_order_relaxed);
+    counts.heapAllocs = mem::heapAllocs() - g_heapAllocsAtArm;
+    return counts;
+}
+
 Trainer3dConfig
 gateConfig(int d_ways)
 {
@@ -189,8 +224,8 @@ gateConfig(int d_ways)
     return config;
 }
 
-/** @return armed allocation count over two post-warmup steps. */
-long long
+/** @return the armed counts over two post-warmup steps. */
+ArmedCounts
 runGate(int d_ways, const LmDataset &data)
 {
     Trainer3d trainer(gateConfig(d_ways));
@@ -201,12 +236,10 @@ runGate(int d_ways, const LmDataset &data)
     trainer.trainIteration(data, rng);
     trainer.trainIteration(data, rng);
 
-    g_armedAllocs.store(0, std::memory_order_relaxed);
-    g_armed.store(true, std::memory_order_relaxed);
+    arm();
     trainer.trainIteration(data, rng);
     trainer.trainIteration(data, rng);
-    g_armed.store(false, std::memory_order_relaxed);
-    return g_armedAllocs.load(std::memory_order_relaxed);
+    return disarm();
 }
 
 /** Deterministic prompt mix (lengths 3..5 over the gate vocab). */
@@ -224,10 +257,10 @@ servePrompts()
 }
 
 /**
- * @return armed allocation count over one full post-warmup request
- * wave (admission, batched pipelined decode, retirement).
+ * @return the armed counts over one full post-warmup request wave
+ * (admission, batched pipelined decode, retirement).
  */
-long long
+ArmedCounts
 runServeGate()
 {
     serve::ServeConfig config;
@@ -256,11 +289,9 @@ runServeGate()
 
     for (const auto &prompt : prompts)
         engine.submit(prompt, 8);
-    g_armedAllocs.store(0, std::memory_order_relaxed);
-    g_armed.store(true, std::memory_order_relaxed);
+    arm();
     engine.drain();
-    g_armed.store(false, std::memory_order_relaxed);
-    return g_armedAllocs.load(std::memory_order_relaxed);
+    return disarm();
 }
 
 /**
@@ -279,16 +310,18 @@ telemetryMain(const LmDataset &data)
     if (!obs::startMetricsServer(0))
         std::fprintf(stderr, "alloc_gate: warning: exporter "
                              "listener failed to start\n");
-    const long long train_count = runGate(2, data);
-    const long long serve_count = runServeGate();
+    const ArmedCounts train = runGate(2, data);
+    const ArmedCounts serve = runServeGate();
     obs::stopMetricsServer();
     obs::enableProbes(false);
     obs::enableMetrics(false);
     obs::setProbeInterval(16);
     std::printf("alloc_gate: mode=telemetry  armed allocs=%lld "
-                "(train step) / %lld (serve wave)\n",
-                train_count, serve_count);
-    if (train_count != 0 || serve_count != 0) {
+                "heapAllocs delta=%lld (train step) / %lld, %lld "
+                "(serve wave)\n",
+                train.newCalls, train.heapAllocs, serve.newCalls,
+                serve.heapAllocs);
+    if (!train.clean() || !serve.clean()) {
         std::fprintf(stderr,
                      "alloc_gate: FAIL mode=telemetry: heap "
                      "allocation(s) with rings+probes+exporter "
@@ -304,20 +337,21 @@ telemetryMain(const LmDataset &data)
 int
 serveMain()
 {
-    const long long count = runServeGate();
+    const ArmedCounts counts = runServeGate();
     std::printf("alloc_gate: mode=serve      armed allocs=%lld "
-                "(lifetime: heapAllocs=%lld arenaHits=%lld "
-                "fallbacks=%lld peakBytes=%lld)\n",
-                count, static_cast<long long>(mem::heapAllocs()),
+                "heapAllocs delta=%lld (lifetime: heapAllocs=%lld "
+                "arenaHits=%lld fallbacks=%lld peakBytes=%lld)\n",
+                counts.newCalls, counts.heapAllocs,
+                static_cast<long long>(mem::heapAllocs()),
                 static_cast<long long>(mem::arenaHits()),
                 static_cast<long long>(mem::heapFallbacks()),
                 static_cast<long long>(mem::peakBytes()));
-    if (count != 0) {
+    if (!counts.clean()) {
         std::fprintf(stderr,
-                     "alloc_gate: FAIL mode=serve: %lld heap "
+                     "alloc_gate: FAIL mode=serve: %lld + %lld heap "
                      "allocation(s) in a steady-state request "
                      "wave\n",
-                     count);
+                     counts.newCalls, counts.heapAllocs);
         return 1;
     }
     std::printf("alloc_gate: PASS (zero steady-state heap "
@@ -351,21 +385,22 @@ main(int argc, char **argv)
 
     int failures = 0;
     for (const int d_ways : {1, 2}) {
-        const long long count = runGate(d_ways, data);
+        const ArmedCounts counts = runGate(d_ways, data);
         const int64_t heap = mem::heapAllocs();
         std::printf("alloc_gate: mode=train D=%d armed allocs=%lld "
-                    "(lifetime: heapAllocs=%lld arenaHits=%lld "
-                    "fallbacks=%lld peakBytes=%lld)\n",
-                    d_ways, count, static_cast<long long>(heap),
+                    "heapAllocs delta=%lld (lifetime: heapAllocs=%lld "
+                    "arenaHits=%lld fallbacks=%lld peakBytes=%lld)\n",
+                    d_ways, counts.newCalls, counts.heapAllocs,
+                    static_cast<long long>(heap),
                     static_cast<long long>(mem::arenaHits()),
                     static_cast<long long>(mem::heapFallbacks()),
                     static_cast<long long>(mem::peakBytes()));
-        if (count != 0) {
+        if (!counts.clean()) {
             std::fprintf(stderr,
-                         "alloc_gate: FAIL mode=train D=%d: %lld "
-                         "heap allocation(s) in a steady-state "
+                         "alloc_gate: FAIL mode=train D=%d: %lld + "
+                         "%lld heap allocation(s) in a steady-state "
                          "step\n",
-                         d_ways, count);
+                         d_ways, counts.newCalls, counts.heapAllocs);
             ++failures;
         }
     }

@@ -194,17 +194,24 @@ TEST(AllocGate, StepIsHeapFreeAfterWarmup)
 {
     if (!arenaEnabled())
         GTEST_SKIP() << "OPTIMUS_ARENA=0";
-    Trainer3d trainer(fullConfig());
-    LmDataset data = tinyData(tinyModel().seqLen);
-    Rng rng(99);
-    // Two warmup steps: the first sizes the arenas, the second
-    // builds lazily-constructed compressor warm state.
-    trainer.trainIteration(data, rng);
-    trainer.trainIteration(data, rng);
-    const int64_t before = mem::heapAllocs();
-    for (int i = 0; i < 3; ++i)
+    // D == 1 too: there the stages' kernel regions are top-level
+    // pool jobs, whose worker chunks must draw from the caller's
+    // workspace.
+    for (int d_ways : {1, 2}) {
+        Trainer3dConfig config = fullConfig();
+        config.dataParallel = d_ways;
+        Trainer3d trainer(config);
+        LmDataset data = tinyData(tinyModel().seqLen);
+        Rng rng(99);
+        // Two warmup steps: the first sizes the arenas, the second
+        // builds lazily-constructed compressor warm state.
         trainer.trainIteration(data, rng);
-    EXPECT_EQ(mem::heapAllocs() - before, 0);
+        trainer.trainIteration(data, rng);
+        const int64_t before = mem::heapAllocs();
+        for (int i = 0; i < 3; ++i)
+            trainer.trainIteration(data, rng);
+        EXPECT_EQ(mem::heapAllocs() - before, 0) << "D=" << d_ways;
+    }
 }
 
 TEST(AllocGate, ArenaHitsAccumulateOnTheStepPath)

@@ -19,6 +19,7 @@
 #include "nn/linear.hh"
 #include "nn/loss.hh"
 #include "nn/optimizer.hh"
+#include "tensor/simd.hh"
 #include "test_util.hh"
 
 namespace optimus
@@ -60,11 +61,12 @@ TEST(GradCheck, Gelu)
 TEST(Gelu, TrainStashIsBitwiseValueAndDerivative)
 {
     // Train forward evaluates tanh once per element and stashes
-    // dGELU/dx in place of x; y and the backward must still be
-    // bitwise Gelu::value(x) and dy * Gelu::derivative(x). The random
-    // tail pushes the tensor past one parallelFor grain.
-    std::vector<float> xs = {0.0f,  -0.0f, 1e-30f, -1e-30f, 0.1f,
-                             -0.1f, 3.0f,  -3.0f,  20.0f,   -20.0f};
+    // dGELU/dx in place of x; at every SIMD tier y and the backward
+    // must still be bitwise Gelu::value(x) and dy * Gelu::derivative(x)
+    // (NaN where those are NaN), and Infer must reproduce y. The
+    // inputs cover every tanhf branch edge and special class; the
+    // random tail pushes the tensor past one parallelFor grain.
+    std::vector<float> xs = test::geluSpecialInputs();
     Rng rng(21);
     while (xs.size() < 5000)
         xs.push_back(static_cast<float>(rng.normal() * 4.0));
@@ -72,25 +74,41 @@ TEST(Gelu, TrainStashIsBitwiseValueAndDerivative)
     Tensor x = Tensor::fromValues({n}, xs);
     Tensor dy = Tensor::randn({n}, rng);
 
-    Gelu layer;
-    Tensor y = layer.forward(x);
-    EXPECT_EQ(layer.stashDepth(), 1u);
-    Tensor dx = layer.backward(dy);
-    EXPECT_EQ(layer.stashDepth(), 0u);
-    for (int64_t i = 0; i < n; ++i) {
-        const float want_y = Gelu::value(x[i]);
-        const float want_dx = dy[i] * Gelu::derivative(x[i]);
-        EXPECT_EQ(0, std::memcmp(&y[i], &want_y, sizeof(float)))
-            << "y at x=" << x[i];
-        EXPECT_EQ(0, std::memcmp(&dx[i], &want_dx, sizeof(float)))
-            << "dx at x=" << x[i];
-    }
+    const simd::Tier initial = simd::tier();
+    for (simd::Tier tier : {simd::Tier::Scalar, simd::Tier::Avx2,
+                            simd::Tier::Avx512}) {
+        if (!simd::supported(tier))
+            continue;
+        simd::setTier(tier);
+        Gelu layer;
+        Tensor y = layer.forward(x);
+        EXPECT_EQ(layer.stashDepth(), 1u);
+        Tensor dx = layer.backward(dy);
+        EXPECT_EQ(layer.stashDepth(), 0u);
+        int64_t bad = 0;
+        for (int64_t i = 0; i < n; ++i) {
+            const float want_y = Gelu::value(x[i]);
+            const float want_dx = dy[i] * Gelu::derivative(x[i]);
+            if (!test::sameFloat(y[i], want_y) ||
+                !test::sameFloat(dx[i], want_dx)) {
+                if (++bad <= 8)
+                    ADD_FAILURE() << simd::tierName(tier)
+                                  << " x=" << x[i] << " y=" << y[i]
+                                  << " want " << want_y
+                                  << " dx=" << dx[i] << " want "
+                                  << want_dx;
+            }
+        }
+        EXPECT_EQ(bad, 0) << simd::tierName(tier);
 
-    layer.setMode(Mode::Infer);
-    Tensor y_infer = layer.forward(x);
-    EXPECT_EQ(layer.stashDepth(), 0u);
-    EXPECT_EQ(0, std::memcmp(y_infer.data(), y.data(),
-                             sizeof(float) * n));
+        layer.setMode(Mode::Infer);
+        Tensor y_infer = layer.forward(x);
+        EXPECT_EQ(layer.stashDepth(), 0u);
+        for (int64_t i = 0; i < n; ++i)
+            EXPECT_TRUE(test::sameFloat(y_infer[i], y[i]))
+                << simd::tierName(tier) << " x=" << x[i];
+    }
+    simd::setTier(initial);
 }
 
 TEST(GradCheck, Relu)

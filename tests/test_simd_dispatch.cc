@@ -20,9 +20,11 @@
 #include "comm/transport.hh"
 #include "data/corpus.hh"
 #include "data/dataset.hh"
+#include "nn/activation.hh"
 #include "parallel/trainer3d.hh"
 #include "runtime/runtime.hh"
 #include "tensor/simd.hh"
+#include "test_util.hh"
 #include "util/random.hh"
 
 namespace optimus
@@ -332,22 +334,109 @@ TEST(SimdDispatch, AdamUpdateBitwiseMatchesScalarLoopEveryTier)
             want.push_back(rv);
             want.push_back(rw);
         }
+        // zero_g must leave m/v/w untouched and zero g once read.
+        for (bool zero_g : {false, true}) {
+            for (simd::Tier tier : supportedTiers()) {
+                std::vector<float> m(n, 0.0f), v(n, 0.0f), w = w0;
+                for (int step = 0; step < 4; ++step) {
+                    const double t = step + 1;
+                    const float alpha = static_cast<float>(
+                        lr * std::sqrt(1.0 - std::pow(beta2, t)) /
+                        (1.0 - std::pow(beta1, t)));
+                    std::vector<float> g = grads[step];
+                    simd::adamUpdate(tier, m.data(), v.data(),
+                                     g.data(), w.data(), n, beta1,
+                                     beta2, alpha, eps, zero_g);
+                    EXPECT_TRUE(bitwiseEqual(m, want[3 * step]))
+                        << simd::tierName(tier) << " n=" << n;
+                    EXPECT_TRUE(bitwiseEqual(v, want[3 * step + 1]))
+                        << simd::tierName(tier) << " n=" << n;
+                    EXPECT_TRUE(bitwiseEqual(w, want[3 * step + 2]))
+                        << simd::tierName(tier) << " n=" << n;
+                    EXPECT_TRUE(bitwiseEqual(
+                        g, zero_g ? std::vector<float>(n, 0.0f)
+                                  : grads[step]))
+                        << simd::tierName(tier) << " n=" << n
+                        << " zero_g=" << zero_g;
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdDispatch, GeluBitwiseMatchesStdTanhReferenceEveryTier)
+{
+    // The vector tiers replicate libm's tanhf lane by lane, so every
+    // tier must give Gelu::value/derivative (std::tanh) bit for bit,
+    // in Train (y and dy/dx) and Infer (y only), with NaN exactly
+    // where the reference is NaN. Inputs: every tanhf branch edge
+    // and special class, a strided sweep over all 2^32 bit patterns
+    // (~1M values), and every 37th float with |x| in [1/8, 4) (~2M):
+    // the band where expm1f's reduced argument is largest, so where
+    // a perturbed coefficient or a fused multiply-add shows first (a
+    // full 2^32 sweep puts >97% of such mismatches there).
+    std::vector<float> xs = test::geluSpecialInputs();
+    constexpr uint64_t kStride = 4093;
+    for (uint64_t b = 0; b < (uint64_t(1) << 32); b += kStride)
+        xs.push_back(test::floatFromBits(static_cast<uint32_t>(b)));
+    for (uint32_t b = 0x3e000000; b < 0x40800000; b += 37) {
+        xs.push_back(test::floatFromBits(b));
+        xs.push_back(test::floatFromBits(b | 0x80000000u));
+    }
+    const int64_t n = static_cast<int64_t>(xs.size());
+    std::vector<float> want_y(xs.size()), want_d(xs.size());
+    for (size_t i = 0; i < xs.size(); ++i) {
+        want_y[i] = Gelu::value(xs[i]);
+        want_d[i] = Gelu::derivative(xs[i]);
+    }
+    for (simd::Tier tier : supportedTiers()) {
+        std::vector<float> y(xs.size()), d(xs.size()), y_inf(xs.size());
+        simd::gelu(tier, xs.data(), y.data(), d.data(), n);
+        simd::gelu(tier, xs.data(), y_inf.data(), nullptr, n);
+        int64_t bad = 0;
+        for (size_t i = 0; i < xs.size(); ++i) {
+            if (test::sameFloat(y[i], want_y[i]) &&
+                test::sameFloat(d[i], want_d[i]) &&
+                test::sameFloat(y_inf[i], want_y[i]))
+                continue;
+            if (++bad <= 8)
+                ADD_FAILURE() << simd::tierName(tier) << " x=" << xs[i]
+                              << " y=" << y[i] << "/" << y_inf[i]
+                              << " want " << want_y[i]
+                              << " dydx=" << d[i] << " want "
+                              << want_d[i];
+        }
+        EXPECT_EQ(bad, 0) << simd::tierName(tier);
+    }
+}
+
+TEST(SimdDispatch, GeluSpanLengthsStayInBounds)
+{
+    // Spans shorter than, equal to and just past one vector, and a
+    // full parallelFor grain: every element matches the reference
+    // and nothing outside [x, x + n) is written.
+    constexpr float kGuard = 12345.0f;
+    for (int64_t n : {0, 1, 7, 15, 16, 17, 63, 4096}) {
+        Rng rng(400 + n);
+        std::vector<float> xs = normals(rng, n);
         for (simd::Tier tier : supportedTiers()) {
-            std::vector<float> m(n, 0.0f), v(n, 0.0f), w = w0;
-            for (int step = 0; step < 4; ++step) {
-                const double t = step + 1;
-                const float alpha = static_cast<float>(
-                    lr * std::sqrt(1.0 - std::pow(beta2, t)) /
-                    (1.0 - std::pow(beta1, t)));
-                simd::adamUpdate(tier, m.data(), v.data(),
-                                 grads[step].data(), w.data(), n,
-                                 beta1, beta2, alpha, eps);
-                EXPECT_TRUE(bitwiseEqual(m, want[3 * step]))
-                    << simd::tierName(tier) << " n=" << n;
-                EXPECT_TRUE(bitwiseEqual(v, want[3 * step + 1]))
-                    << simd::tierName(tier) << " n=" << n;
-                EXPECT_TRUE(bitwiseEqual(w, want[3 * step + 2]))
-                    << simd::tierName(tier) << " n=" << n;
+            for (bool train : {true, false}) {
+                std::vector<float> y(n + 2, kGuard), d(n + 2, kGuard);
+                simd::gelu(tier, xs.data(), y.data() + 1,
+                           train ? d.data() + 1 : nullptr, n);
+                EXPECT_EQ(y.front(), kGuard);
+                EXPECT_EQ(y.back(), kGuard);
+                EXPECT_EQ(d.front(), kGuard);
+                EXPECT_EQ(d.back(), kGuard);
+                for (int64_t i = 0; i < n; ++i) {
+                    EXPECT_TRUE(test::sameFloat(y[i + 1],
+                                                Gelu::value(xs[i])))
+                        << simd::tierName(tier) << " n=" << n;
+                    EXPECT_TRUE(test::sameFloat(
+                        d[i + 1],
+                        train ? Gelu::derivative(xs[i]) : kGuard))
+                        << simd::tierName(tier) << " n=" << n;
+                }
             }
         }
     }

@@ -8,7 +8,10 @@
 #define OPTIMUS_TESTS_TEST_UTIL_HH
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include "nn/layer.hh"
 #include "tensor/tensor.hh"
@@ -117,6 +120,77 @@ paramGradError(Layer &layer, const Tensor &x, const Tensor &w,
     }
     layer.clearStash();
     return worst;
+}
+
+/** Bitwise float equality, except that any two NaNs match. */
+inline bool
+sameFloat(float a, float b)
+{
+    if (std::isnan(a) || std::isnan(b))
+        return std::isnan(a) && std::isnan(b);
+    return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+inline float
+floatFromBits(uint32_t bits)
+{
+    float f;
+    std::memcpy(&f, &bits, sizeof f);
+    return f;
+}
+
+/**
+ * GELU inputs that exercise every tanhf/expm1f branch the GELU tanh
+ * argument u = kSqrt2OverPi * (x + ((0.044715 * x) * x) * x) can
+ * reach: for each branch edge e of |u|, the x values within 4 ulps
+ * of where u crosses e, both signs. Edges: 2^-55 (tanhf's tiny
+ * return), 2^-26 (expm1f's |a| < 2^-25 return, a = -2|u|), half of
+ * expm1f's 0.5 ln2 and 1.5 ln2 reduction thresholds, 1 (tanhf's
+ * expm1f(2|u|) side), every (m + 0.5) ln2 / 2 for m in [0, 64] (each
+ * step of k, so the k = 22/23 and 56/57 boundaries too) and 22.
+ * Plus ±0, denormals, FLT_MIN, inputs whose cube overflows, ±FLT_MAX,
+ * ±inf and quiet/signalling NaNs of both signs with payloads.
+ */
+inline std::vector<float>
+geluSpecialInputs()
+{
+    // The GELU inner expression in the kernels' float op order.
+    const auto u_of = [](float x) {
+        return 0.7978845608028654f * (x + ((0.044715f * x) * x) * x);
+    };
+    std::vector<double> edges = {std::ldexp(1.0, -55),
+                                 std::ldexp(1.0, -26),
+                                 floatFromBits(0x3eb17218) / 2.0,
+                                 floatFromBits(0x3f851592) / 2.0, 1.0,
+                                 22.0};
+    for (int m = 0; m <= 64; ++m)
+        edges.push_back((m + 0.5) * std::log(2.0) / 2.0);
+
+    std::vector<float> xs;
+    for (double e : edges) {
+        // Smallest positive x (by bit pattern) with u(x) >= e.
+        uint32_t lo = 0, hi = 0x7f7fffff;
+        while (lo < hi) {
+            const uint32_t mid = lo + (hi - lo) / 2;
+            if (u_of(floatFromBits(mid)) >= e)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        for (uint32_t b = lo - 4; b <= lo + 4; ++b) {
+            xs.push_back(floatFromBits(b));
+            xs.push_back(-floatFromBits(b));
+        }
+    }
+    for (uint32_t bits :
+         {0x00000000u, 0x00000001u, 0x00000fffu, 0x00400000u,
+          0x007fffffu, 0x00800000u, 0x5f800000u, 0x7f7fffffu,
+          0x7f800000u, 0x7fc00000u, 0x7fc01234u, 0x7f800001u,
+          0x7fa00000u}) {
+        xs.push_back(floatFromBits(bits));
+        xs.push_back(floatFromBits(bits | 0x80000000u));
+    }
+    return xs;
 }
 
 } // namespace optimus::test
